@@ -48,7 +48,7 @@ func exact(t *testing.T, s scenario.Scenario) cluster.Result {
 	if err != nil {
 		t.Fatalf("Normalize: %v", err)
 	}
-	return cluster.Simulate(censusFor(n.Census), n.Ranks, n.DAP, o)
+	return cluster.Simulate(scenario.CensusFor(n.Census), n.Ranks, n.DAP, o)
 }
 
 // fidelityScenarios is the containment corpus for this package's own tests:

@@ -8,7 +8,6 @@
 package cluster
 
 import (
-	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -19,8 +18,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/gpu"
 	"repro/internal/perturb"
-	"repro/internal/pipeline"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -198,105 +195,39 @@ type groupStep struct {
 // Simulate runs the step simulation for a program on `ranks` GPUs at the
 // given DAP degree.
 //
-// Hot-path structure (see docs/ARCHITECTURE.md "Simulator hot path"): the
-// data-wait precompute asks the dataset layer for sample geometry only —
-// no protein is folded, no MSA materialized — and both it and the per-group
-// step march shard across Options.SimWorkers goroutines. Per-rank RNG
-// streams and per-group state are disjoint, and cross-group reductions sum
-// integer nanoseconds, so the Result is bit-identical for every SimWorkers
-// value. All step-loop scratch is hoisted and reused: the steady-state loop
-// allocates nothing.
+// The deterministic frame of the step — census pass, collective schedule,
+// march geometry, jitter parameters — is NewSkeleton's; Simulate adds the
+// per-rank random draws. Hot-path structure (see docs/ARCHITECTURE.md
+// "Simulator hot path"): the data-wait precompute asks the dataset layer
+// for sample geometry only — no protein is folded, no MSA materialized —
+// and both it and the per-group step march shard across
+// Options.SimWorkers goroutines. Per-rank RNG streams and per-group state
+// are disjoint, and cross-group reductions sum integer nanoseconds, so the
+// Result is bit-identical for every SimWorkers value. All step-loop
+// scratch is hoisted and reused: the steady-state loop allocates nothing.
 func Simulate(prog *workload.Program, ranks, dapDegree int, o Options) Result {
-	plan, err := dap.NewPlan(ranks, dapDegree)
+	sk, err := NewSkeleton(prog, ranks, dapDegree, o)
 	if err != nil {
 		panic(err)
 	}
-	o = o.normalized()
+	o = sk.o
 	workers := o.SimWorkers
-
-	// --- Per-step invariants (identical across ranks), one pass over the
-	// census: roofline kernel time, serial share, launch count, and the
-	// exposed-CPU baseline (launches whose issue cost exceeds the kernel's
-	// own duration leave the GPU idle; approximated per group).
-	exposeCPU := !o.CUDAGraph && !o.ZeroLaunchOverhead
-	var gpuCompute, serialPart, cpuExposedBase time.Duration
-	var launches int
-	for _, g := range prog.Groups {
-		if o.ZeroSerial && g.Serial {
-			continue
-		}
-		perCall := o.Arch.KernelDuration(g.PerCallFlops(), g.PerCallBytes(), o.FlatEfficiency)
-		d := time.Duration(g.Calls) * perCall
-		gpuCompute += d
-		if g.Serial {
-			serialPart += d
-		}
-		launches += g.Calls
-		if exposeCPU {
-			if gap := o.Arch.LaunchOverhead - perCall; gap > 0 {
-				cpuExposedBase += time.Duration(g.Calls) * gap
-			}
-		}
-	}
-
-	// Collective schedule.
-	var syncEvents int
-	var xferPerStep time.Duration
-	for _, s := range prog.Syncs {
-		syncEvents += s.Count
-		bytes := s.Bytes
-		if o.ZeroCommVolume {
-			bytes = 0
-		}
-		xferPerStep += time.Duration(s.Count) * o.Topo.Cost(s.Op, plan.Degree, bytes)
-	}
 
 	// Data pipeline waits, per rank: simulate a warmup prefix so the waits
 	// reflect steady state (the pipeline is warm after MLPerf's init phase),
-	// then keep Steps waits.
-	// A leading window lets the prefetch queue fill; a trailing pad keeps
-	// the epoch end out of the measurement (the non-blocking loader defers
-	// slow batches, and at the very end of an epoch it must finally wait
-	// for them — steady-state training doesn't see that).
-	// Prep times come from the geometry-only dataset path: the cost model
-	// reads nothing but the sample's index, sequence length and MSA size,
-	// so no protein is folded and no MSA allocated just to be timed. Ranks
-	// are independent (the generator is stateless per index, the timer
-	// reseeds per index), so the precompute shards across the worker pool.
-	warmup := 16
-	if o.Prefetch > warmup {
-		warmup = o.Prefetch
-	}
-	stepEstimate := gpuCompute + cpuExposedBase + xferPerStep
-	gen := dataset.NewGenerator(o.Seed + 101)
-	epoch := warmup + o.Steps + 16
+	// then keep Steps waits. Ranks are independent (the generator is
+	// stateless per index, the timer reseeds per index), so the precompute
+	// shards across the worker pool.
 	// dataWaits is rank-major: rank r's wait for step s at [r*Steps+s].
 	dataWaits := make([]time.Duration, ranks*o.Steps)
 	runSharded(workers, ranks, func(lo, hi int) {
-		gs := gen.Sampler()
-		pt := o.PrepModel.Timer()
-		prep := make([]time.Duration, epoch)
+		ps := NewPrepStream(o.Seed, o.PrepModel)
+		prep := make([]time.Duration, sk.Epoch)
 		for r := lo; r < hi; r++ {
-			for k := range prep {
-				idx := r*epoch + k
-				seqLen, msaSize := gs.Geometry(idx)
-				prep[k] = pt.DurationAt(idx, seqLen, msaSize, o.Seed+int64(r))
-			}
-			tl := pipeline.AnalyticSim{PrepTimes: prep, Workers: o.Workers, Prefetch: o.Prefetch, NonBlocking: o.NonBlockingPipeline}.Run(stepEstimate)
-			copy(dataWaits[r*o.Steps:(r+1)*o.Steps], tl.Wait[warmup:warmup+o.Steps])
+			ps.Fill(prep, r)
+			copy(dataWaits[r*o.Steps:(r+1)*o.Steps], sk.Waits(prep))
 		}
 	})
-
-	var graphCapture time.Duration
-	if o.CUDAGraph {
-		// All recycling scenarios (1..4 recycles) are captured once during
-		// warmup; steady-state steps replay from the cache.
-		graphs := gpu.NewGraphCache(0)
-		for key := 0; key < 4; key++ {
-			graphCapture += graphs.Launch(o.Arch, key, launches, o.CPU, 0)
-		}
-	}
-	intervals := syncEvents + 1
 
 	rankRNGs := make([]*rand.Rand, ranks)
 	for r := range rankRNGs {
@@ -322,39 +253,20 @@ func Simulate(prog *workload.Program, ranks, dapDegree int, o Options) Result {
 	// background CPU peak lands in the chunk. CUDA graphs make the CPU share
 	// microscopic, which is exactly why they immunize the step against
 	// peaks (§3.2).
-	peaksPerStep := o.CPU.PeakProb * 2
-	// Per-chunk relative jitter: a chunk of K kernels has duration CV of
-	// roughly 1/sqrt(K) of the per-kernel CV. Fine-grained DAP sync points
-	// mean few kernels per chunk, hence large relative jitter — the reason
-	// imbalance dominates the Figure 3 gap at high DAP degrees. CUDA graphs
-	// remove the launch-time component of that variance.
-	kernelsPerChunk := float64(launches) / float64(intervals)
-	if kernelsPerChunk < 1 {
-		kernelsPerChunk = 1
-	}
-	perKernelCV := 0.35
-	if o.CUDAGraph {
-		perKernelCV = 0.12
-	}
-	chunkCV := perKernelCV / math.Sqrt(kernelsPerChunk)
-	stragglerProb := o.CPU.StragglerProb
-	if o.CUDAGraph {
-		stragglerProb /= 15
-	}
 	advance := func(rr *rand.Rand, gpuChunk, cpuChunk time.Duration) time.Duration {
 		d := gpuChunk + cpuChunk
 		if o.PerfectBalance {
 			return d
 		}
 		// Gaussian execution jitter scaled to the chunk's kernel count.
-		d += time.Duration(chunkCV * rr.NormFloat64() * float64(gpuChunk))
+		d += time.Duration(sk.ChunkCV * rr.NormFloat64() * float64(gpuChunk))
 		// Background CPU peak pinning this rank's launch thread right
 		// before the sync point (§3.1 "slow workers"); exponential delay.
-		if stragglerProb > 0 && rr.Float64() < stragglerProb {
+		if sk.StragglerProb > 0 && rr.Float64() < sk.StragglerProb {
 			d += time.Duration(rr.ExpFloat64() * float64(o.CPU.StragglerMean))
 		}
 		if cpuChunk > 0 {
-			p := peaksPerStep / float64(intervals)
+			p := sk.PeaksPerStep / float64(sk.Intervals)
 			if p > 1 {
 				p = 1
 			}
@@ -368,17 +280,6 @@ func Simulate(prog *workload.Program, ranks, dapDegree int, o Options) Result {
 		return d
 	}
 
-	// Per-rank CPU exposure is identical for every rank and every step —
-	// it is a scalar, not a per-step buffer.
-	var cpuExposedStep time.Duration
-	if o.CUDAGraph {
-		// Graph replay only: captures happened during init. Python GC still
-		// stalls the host between replays until disabled.
-		cpuExposedStep = o.Arch.GraphReplayOverhead + gcCost(o.CPU, launches)
-	} else if !o.ZeroLaunchOverhead {
-		cpuExposedStep = cpuExposedBase + gcCost(o.CPU, launches)
-	}
-
 	// --- The step march, sharded by DAP group. Within one step a DAP group
 	// interacts only internally (its sync barriers) until the global
 	// all-reduce; across steps a rank's only carried state is its private
@@ -386,26 +287,11 @@ func Simulate(prog *workload.Program, ranks, dapDegree int, o Options) Result {
 	// every other group's, and groups shard freely across workers: each
 	// group marches through all steps, recording its per-step barrier
 	// contributions, and a sequential reduction assembles the global
-	// all-reduce afterwards. Per-kernel sync marching applies when the DAP
-	// degree shards kernels (Degree > 1 with sync events); otherwise each
-	// rank is its own group of one advancing in a single chunk.
-	march := plan.Degree > 1 && syncEvents > 0
-	nGroups, gsize := ranks, 1
-	var evCost time.Duration
-	if march {
-		nGroups, gsize = plan.DPWays, plan.Degree
-		// Cost of one sync event (mean over kinds) plus the NCCL kernel
-		// launch latency, which CUDA graphs absorb into the graph.
-		evCost = xferPerStep / time.Duration(syncEvents)
-		if !o.CUDAGraph {
-			evCost += 2 * o.Arch.LaunchOverhead
-		}
-	}
-	perRankChunk := gpuCompute / time.Duration(intervals)
-	cpuChunk := cpuExposedStep / time.Duration(intervals)
+	// all-reduce afterwards.
+	march, gsize := sk.March, sk.GroupSize
 	// stats is group-major: group g's step s entry at [g*Steps+s].
-	stats := make([]groupStep, nGroups*o.Steps)
-	runSharded(workers, nGroups, func(glo, ghi int) {
+	stats := make([]groupStep, sk.Groups*o.Steps)
+	runSharded(workers, sk.Groups, func(glo, ghi int) {
 		// Reusable per-worker scratch — the now-buffer and the per-rank
 		// chunk durations: the steady-state step loop below allocates
 		// nothing. Unperturbed, every rank's chunks are the shared scalars;
@@ -415,8 +301,8 @@ func Simulate(prog *workload.Program, ranks, dapDegree int, o Options) Result {
 		gpuChunks := make([]time.Duration, gsize)
 		cpuChunks := make([]time.Duration, gsize)
 		for i := 0; i < gsize; i++ {
-			gpuChunks[i] = perRankChunk
-			cpuChunks[i] = cpuChunk
+			gpuChunks[i] = sk.PerRankChunk
+			cpuChunks[i] = sk.cpuChunk
 		}
 		for g := glo; g < ghi; g++ {
 			base := g * gsize
@@ -424,8 +310,8 @@ func Simulate(prog *workload.Program, ranks, dapDegree int, o Options) Result {
 			if perturbed && march {
 				for i := range gpuChunks {
 					f := perturbs[base+i].Factor()
-					gpuChunks[i] = scaleDur(perRankChunk, f)
-					cpuChunks[i] = scaleDur(cpuChunk, f)
+					gpuChunks[i] = scaleDur(sk.PerRankChunk, f)
+					cpuChunks[i] = scaleDur(sk.cpuChunk, f)
 				}
 			}
 			for step := 0; step < o.Steps; step++ {
@@ -436,7 +322,7 @@ func Simulate(prog *workload.Program, ranks, dapDegree int, o Options) Result {
 					if o.PerfectBalance {
 						w = 0
 					}
-					gpuC, cpuC := gpuCompute, cpuExposedStep
+					gpuC, cpuC := sk.GPUCompute, sk.CPUExposedStep
 					if perturbed {
 						ps := perturbs[g] // gsize == 1: group g IS rank g
 						stall, failed := ps.Step()
@@ -475,7 +361,7 @@ func Simulate(prog *workload.Program, ranks, dapDegree int, o Options) Result {
 				// March through sync intervals: advance each rank by its
 				// chunk, then sync within the group.
 				var comm time.Duration
-				for ev := 0; ev < syncEvents; ev++ {
+				for ev := 0; ev < sk.SyncEvents; ev++ {
 					var mx time.Duration
 					for i := range now {
 						now[i] += advance(rngs[i], gpuChunks[i], cpuChunks[i])
@@ -485,7 +371,7 @@ func Simulate(prog *workload.Program, ranks, dapDegree int, o Options) Result {
 					}
 					for i := range now {
 						comm += (mx - now[i]) / time.Duration(ranks)
-						now[i] = mx + evCost
+						now[i] = mx + sk.evCost
 					}
 				}
 				// Remaining compute after the last sync.
@@ -512,15 +398,6 @@ func Simulate(prog *workload.Program, ranks, dapDegree int, o Options) Result {
 	var restarts int
 	restartCost := o.Perturb.RestartCostDur()
 	var bk Breakdown
-	var xferAcc time.Duration
-	if march {
-		xferAcc = time.Duration(syncEvents) * evCost
-	}
-	arCost := o.Topo.AllReduce(plan.DPWays, prog.GradBytes/float64(plan.Degree))
-	// Gradient clipping: bucketed clip hides under the all-reduce.
-	clipTime := time.Duration(prog.ClipKernels) * o.Arch.LaunchOverhead
-	visible, _ := comm.OverlapGradClip(arCost, clipTime)
-	clipExposed := visible - arCost
 	for step := 0; step < o.Steps; step++ {
 		var stepDataWait time.Duration
 		if !o.PerfectBalance {
@@ -535,7 +412,7 @@ func Simulate(prog *workload.Program, ranks, dapDegree int, o Options) Result {
 		// group maxima.
 		var commWaitAcc, mx, sum time.Duration
 		var fails int
-		for g := 0; g < nGroups; g++ {
+		for g := 0; g < sk.Groups; g++ {
 			st := &stats[g*o.Steps+step]
 			commWaitAcc += st.comm
 			if st.max > mx {
@@ -547,7 +424,7 @@ func Simulate(prog *workload.Program, ranks, dapDegree int, o Options) Result {
 		}
 		drWait := mx - sum/time.Duration(ranks)
 		commWaitAcc += drWait
-		stepEnd := mx + visible
+		stepEnd := mx + sk.AllReduceVisible
 
 		// A fatal rank failure loses the step: the job pays the failed
 		// attempt, one checkpoint-restart, and the replayed step. Several
@@ -562,14 +439,14 @@ func Simulate(prog *workload.Program, ranks, dapDegree int, o Options) Result {
 		stepTimes = append(stepTimes, stepWall)
 		stepComm = append(stepComm, commWaitAcc)
 		bk.CommWait += commWaitAcc
-		bk.CommXfer += xferAcc + arCost
-		bk.ClipExposed += clipExposed
-		bk.CPUExposed += cpuExposedStep
+		bk.CommXfer += sk.XferAcc + sk.AllReduce
+		bk.ClipExposed += sk.ClipExposed
+		bk.CPUExposed += sk.CPUExposedStep
 	}
 
 	n := time.Duration(o.Steps)
-	bk.GPUCompute = gpuCompute
-	bk.SerialPart = serialPart
+	bk.GPUCompute = sk.GPUCompute
+	bk.SerialPart = sk.SerialPart
 	bk.CPUExposed /= n
 	bk.DataWait /= n
 	bk.CommXfer /= n
@@ -594,8 +471,8 @@ func Simulate(prog *workload.Program, ranks, dapDegree int, o Options) Result {
 		MedianStep:   stepTimes[len(stepTimes)/2],
 		P99Step:      stepTimes[(len(stepTimes)*99+99)/100-1],
 		Break:        bk,
-		Plan:         plan,
-		GraphCapture: graphCapture,
+		Plan:         sk.Plan,
+		GraphCapture: sk.GraphCapture,
 		Restarts:     restarts,
 		StallShare:   stallShare,
 		Goodput:      goodput,
@@ -611,18 +488,7 @@ func scaleDur(d time.Duration, f float64) time.Duration {
 	return time.Duration(float64(d) * f)
 }
 
-// gcCost is the per-step host stall from Python garbage collection: the
-// interpreter still traverses its object graph proportionally to the amount
-// of per-step Python work (approximated by the traced launch count), whether
-// or not the kernels themselves were replayed from a CUDA graph.
-func gcCost(c gpu.CPUModel, launches int) time.Duration {
-	if !c.GCEnabled || c.GCInterval <= 0 {
-		return 0
-	}
-	return time.Duration(launches/c.GCInterval) * c.GCPause
-}
-
 // StepSeconds is a convenience returning the mean step time in seconds.
 func StepSeconds(prog *workload.Program, ranks, dapDegree int, o Options) float64 {
-	return sim.Sec(Simulate(prog, ranks, dapDegree, o).MeanStep)
+	return Simulate(prog, ranks, dapDegree, o).MeanStep.Seconds()
 }

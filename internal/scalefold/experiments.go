@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/curve"
 	"repro/internal/mlperf"
+	"repro/internal/model"
 	"repro/internal/workload"
 )
 
@@ -89,5 +90,5 @@ func Figure11() (curve.Schedule, curve.Result) {
 
 // KernelCensus exposes the baseline census for the Table 1 CLI output.
 func KernelCensus() *workload.Program {
-	return workload.Census(fullModelConfig(), workload.Baseline())
+	return workload.Census(model.FullConfig(), workload.Baseline())
 }

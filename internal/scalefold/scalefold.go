@@ -43,8 +43,6 @@ type StepConfig struct {
 // barrier switches); it aliases the scenario layer's canonical list.
 var Ablations = scenario.Ablations
 
-func fullModelConfig() model.Config { return model.FullConfig() }
-
 // clusterOptions lowers the step configuration to simulator options. The
 // scenario is validated by every user-input path (CLI flags, sweep grids,
 // job submission) before it gets here, so a failure is a programming error.
@@ -110,19 +108,6 @@ func processStore() (store.Store[cluster.Result], func(error)) {
 	return procStore, procStoreErr
 }
 
-// censusCache memoizes kernel censuses by their options. A census is a pure
-// deterministic derivation of the (fixed) model config, read-only once
-// built, so sharing one *workload.Program across simulations is safe and
-// saves the census rebuild on every cell that varies only seed or ablation.
-var censusCache = sweep.NewCache[*workload.Program]()
-
-func censusFor(cen workload.Options) *workload.Program {
-	prog, _ := censusCache.Do(scenario.CanonicalCensus(cen), func() *workload.Program {
-		return workload.Census(fullModelConfig(), cen)
-	})
-	return prog
-}
-
 // ResetStepCache drops every memoized simulation result. Benchmarks call it
 // between iterations so repeated figure runs measure the simulator, not a
 // cache lookup, and so seed-varying loops don't grow the cache without
@@ -134,7 +119,7 @@ func ResetStepCache() { stepCache = sweep.NewCache[cluster.Result]() }
 // the persistent store.
 func (c StepConfig) simulate() cluster.Result {
 	simCount.Add(1)
-	return cluster.Simulate(censusFor(c.Census), c.Ranks, c.DAP, c.clusterOptions())
+	return cluster.Simulate(scenario.CensusFor(c.Census), c.Ranks, c.DAP, c.clusterOptions())
 }
 
 // simulateVia resolves the configuration against a persistent store:
@@ -475,14 +460,14 @@ func figure3Config(dapN int) StepConfig {
 // same quantities directly).
 func figure3Bars(dapN int, res cluster.Result) []Barrier {
 	c := figure3Config(dapN)
-	prog := censusFor(c.Census)
+	prog := scenario.CensusFor(c.Census)
 
 	// Poor kernel scalability: the extra time DAP-shrunk kernels take
 	// beyond perfect 1/n scaling of their DAP-1 durations, caused by
 	// falling down the bandwidth-efficiency curve.
 	cen1 := c.Census
 	cen1.DAP = 1
-	prog1 := censusFor(cen1)
+	prog1 := scenario.CensusFor(cen1)
 	platform, err := scenario.PlatformByName(c.Platform)
 	if err != nil {
 		panic("scalefold: unvalidated scenario reached the simulator: " + err.Error())

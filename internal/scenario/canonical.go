@@ -11,6 +11,8 @@ import (
 	"repro/internal/comm"
 	"repro/internal/dataset"
 	"repro/internal/gpu"
+	"repro/internal/model"
+	"repro/internal/sweep"
 	"repro/internal/workload"
 )
 
@@ -147,13 +149,28 @@ func (s Scenario) Canonical() string {
 }
 
 // CanonicalCensus is the explicit encoding of the kernel-census options,
-// shared by Canonical and the census memo in package scalefold.
+// shared by Canonical and the census memo behind CensusFor.
 func CanonicalCensus(o workload.Options) string {
 	return fmt.Sprintf(
 		"census{fused_mha=%s;fused_ln=%s;fused_adam_swa=%s;batched_gemm=%s;torch_compile=%s;bf16=%s;grad_ckpt=%s;recycles=%d;dap=%d;bucketed_clip=%s}",
 		canonBool(o.FusedMHA), canonBool(o.FusedLN), canonBool(o.FusedAdamSWA),
 		canonBool(o.BatchedGEMM), canonBool(o.TorchCompile), canonBool(o.BF16),
 		canonBool(o.GradCheckpoint), o.Recycles, o.DAP, canonBool(o.BucketedClip))
+}
+
+// censusCache memoizes kernel censuses by their canonical options. A census
+// is a pure deterministic derivation of the (fixed) full model config,
+// read-only once built, so every simulation and estimate that spells the
+// same options shares one *workload.Program.
+var censusCache = sweep.NewCache[*workload.Program]()
+
+// CensusFor returns the full model's kernel census under the given options,
+// built once per process.
+func CensusFor(o workload.Options) *workload.Program {
+	prog, _ := censusCache.Do(CanonicalCensus(o), func() *workload.Program {
+		return workload.Census(model.FullConfig(), o)
+	})
+	return prog
 }
 
 func canonArch(b *strings.Builder, a gpu.Arch) {

@@ -3,9 +3,7 @@ package store
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
-	"sync/atomic"
 )
 
 // CompactStats reports what a Compact call did, JSON-ready for the CLI and
@@ -24,75 +22,29 @@ type CompactStats struct {
 // newest record line is copied byte-identically into fresh segments (with
 // sidecars), overwritten duplicates and legacy-generation records (per
 // WithLegacyKey) are shed, the index is rebuilt over the new refs, and the
-// old segment files are deleted. Runs under the writer lock — concurrent
-// Puts block for the duration, concurrent Gets stay live (a Get racing the
-// switch-over retries through the rebuilt index).
+// old segment files are deleted. Only segments this store owns are
+// rewritten — every segment for a Disk, the owner's lease for a Shared
+// store — and index entries pointing elsewhere are carried unchanged. Runs
+// under the writer lock — concurrent Puts block for the duration,
+// concurrent Gets stay live (a Get racing the switch-over retries through
+// the rebuilt index).
 //
 // Crash-safe at every step: fresh segments are written and fsynced under
 // higher sequence numbers before any old file is deleted, and replay's
 // last-write-wins ordering means a directory holding both generations
 // reopens to the same mapping.
-func (d *Disk[R]) Compact() (CompactStats, error) {
-	d.wmu.Lock()
-	defer d.wmu.Unlock()
-	if d.closed {
-		return CompactStats{}, fmt.Errorf("store: closed")
-	}
-	if err := d.sealLocked(); err != nil {
-		return CompactStats{}, err
-	}
-	st, seq, live, err := runCompact(d.idx, d.tab, d.live,
-		func(n int) string { return filepath.Join(d.dir, fmt.Sprintf("seg-%08d.jsonl", n)) },
-		d.segSeq, d.SegmentBytes, d.cfg.legacy, &d.met)
-	if err != nil {
-		return st, err
-	}
-	d.segSeq, d.live, d.torn = seq, live, false
-	return st, nil
-}
-
-// Compact rewrites this owner's segments down to their live records —
-// records whose newest version lives in another owner's segment are left
-// exactly where they are, and foreign segment files are never touched. Safe
-// to run on one member of a live fleet: other owners keep reading the old
-// segments they have open and pick up the compacted ones on their next
-// refresh (byte-identical records, so either view agrees).
-func (s *Shared[R]) Compact() (CompactStats, error) {
+func (s *segStore[R]) Compact() (CompactStats, error) {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	// Freeze foreign tailing too: the index rebuild must not lose entries a
-	// concurrent Refresh would add between snapshot and commit. Get misses
-	// block on the refresh lock for the duration; indexed Gets stay live.
-	s.rmu.Lock()
-	defer s.rmu.Unlock()
 	if s.closed {
 		return CompactStats{}, fmt.Errorf("store: closed")
 	}
-	if err := s.sealLocked(); err != nil {
+	if err := s.w.seal(false); err != nil {
 		return CompactStats{}, err
 	}
-	st, seq, live, err := runCompact(s.idx, s.tab, s.ownLive,
-		func(n int) string { return filepath.Join(s.dir, fmt.Sprintf("%s%08d.jsonl", s.prefix, n)) },
-		s.segSeq, s.SegmentBytes, s.cfg.legacy, &s.met)
-	if err != nil {
-		return st, err
-	}
-	s.segSeq, s.ownLive, s.torn = seq, live, false
-	return st, nil
-}
-
-// runCompact is the engine shared by Disk.Compact and Shared.Compact: live
-// is the set of segments this writer owns (and may rewrite + delete); index
-// entries pointing elsewhere are preserved untouched. Callers hold their
-// writer lock, so no setIfNewer races the rebuild.
-func runCompact[R any](
-	ix *index[R], tab *segTable, live map[int32]string,
-	nameAt func(seq int) string, startSeq int, limit int64,
-	legacy func(string) bool, met *atomic.Pointer[Metrics],
-) (CompactStats, int, map[int32]string, error) {
 	var st CompactStats
-	st.SegmentsBefore = len(live)
-	for _, p := range live {
+	st.SegmentsBefore = len(s.w.live)
+	for _, p := range s.w.live {
 		if fi, err := os.Stat(p); err == nil {
 			st.BytesBefore += fi.Size()
 		}
@@ -105,12 +57,12 @@ func runCompact[R any](
 	}
 	var rewrite []entry
 	kept := map[string]ref{}
-	ix.each(func(k string, r ref) bool {
-		if _, mine := live[r.seg]; !mine {
+	s.idx.each(func(k string, r ref) bool {
+		if _, mine := s.w.live[r.seg]; !mine {
 			kept[k] = r
 			return true
 		}
-		if legacy != nil && legacy(k) {
+		if s.cfg.legacy != nil && s.cfg.legacy(k) {
 			st.DroppedLegacy++
 			return true
 		}
@@ -123,38 +75,46 @@ func runCompact[R any](
 		}
 		return rewrite[i].r.off < rewrite[j].r.off
 	})
-	w := &compactWriter{nameAt: nameAt, seq: startSeq, limit: limit, tab: tab, met: met, live: map[int32]string{}}
-	for _, e := range rewrite {
-		line, err := rawLine(tab, e.r)
-		if err != nil {
-			return st, 0, nil, err
+	// A second writer streams the survivors into fresh segments numbered
+	// after ours. Its seal fsyncs: the old files go on the strength of it.
+	cw := segWriter{dir: s.w.dir, prefix: s.w.prefix, tab: s.tab, met: &s.met, seq: s.w.seq, live: map[int32]string{}}
+	err := func() error {
+		for _, e := range rewrite {
+			line, err := rawLine(s.tab, e.r)
+			if err != nil {
+				return err
+			}
+			nr, err := cw.append(e.key, line, s.SegmentBytes)
+			if err != nil {
+				return err
+			}
+			kept[e.key] = nr
+			st.BytesAfter += int64(len(line))
 		}
-		nr, err := w.append(e.key, line)
-		if err != nil {
-			return st, 0, nil, err
-		}
-		kept[e.key] = nr
-	}
-	if err := w.finish(); err != nil {
-		return st, 0, nil, err
+		return cw.seal(true)
+	}()
+	if err != nil {
+		cw.seal(false)
+		s.w.seq = cw.seq // never reuse a name the failed pass wrote
+		return st, err
 	}
 	st.Keys = len(kept)
 	st.Rewritten = len(rewrite)
-	st.SegmentsAfter = len(w.live)
-	st.BytesAfter = w.bytes
+	st.SegmentsAfter = len(cw.live)
 	// Commit: the index switches to the new refs, then the old files go. A
 	// Get that resolved an old ref just before the switch either still reads
 	// the old bytes (identical record) or gets a stale-ref error and
 	// re-resolves.
-	ix.rebuild(kept)
-	for id, p := range live {
-		tab.drop(id)
+	s.idx.rebuild(kept)
+	for id, p := range s.w.live {
+		s.tab.drop(id)
 		os.Remove(p)
 		os.Remove(sidecarPath(p))
 	}
-	met.Load().compacted()
-	met.Load().records(len(kept))
-	return st, w.seq, w.live, nil
+	s.w = cw
+	s.met.Load().compacted()
+	s.met.Load().records(len(kept))
+	return st, nil
 }
 
 // rawLine reads one record's exact on-disk bytes, newline restored.
@@ -170,78 +130,3 @@ func rawLine(tab *segTable, rf ref) ([]byte, error) {
 	buf[rf.llen] = '\n'
 	return buf, nil
 }
-
-// compactWriter streams records into fresh segments, sealing each (sidecar
-// + fsync) as it fills — the same on-disk product as a normal writer's
-// rotation, minus the dead bytes.
-type compactWriter struct {
-	nameAt func(seq int) string
-	seq    int
-	limit  int64
-	tab    *segTable
-	met    *atomic.Pointer[Metrics]
-
-	f       *os.File
-	id      int32
-	path    string
-	size    int64
-	bytes   int64
-	pending []sideEntry
-	live    map[int32]string
-}
-
-func (w *compactWriter) append(key string, line []byte) (ref, error) {
-	if w.f == nil || w.size >= w.limit || w.size+int64(len(line)) > maxSegmentOff {
-		if err := w.roll(); err != nil {
-			return ref{}, err
-		}
-	}
-	if _, err := w.f.Write(line); err != nil {
-		return ref{}, fmt.Errorf("store: %w", err)
-	}
-	r := ref{off: uint32(w.size), llen: uint32(len(line) - 1), seg: w.id}
-	w.pending = append(w.pending, sideEntry{Off: r.off, Len: r.llen, Key: key})
-	w.size += int64(len(line))
-	w.bytes += int64(len(line))
-	return r, nil
-}
-
-func (w *compactWriter) roll() error {
-	if err := w.seal(); err != nil {
-		return err
-	}
-	w.seq++
-	path := w.nameAt(w.seq)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	w.f, w.path, w.size, w.pending = f, path, 0, nil
-	w.id = w.tab.add(path)
-	w.live[w.id] = path
-	w.met.Load().rotated()
-	return nil
-}
-
-// seal fsyncs and closes the open segment, sidecar first. Unlike a normal
-// writer's seal, the fsync is mandatory: old segments are deleted on the
-// strength of these bytes being durable.
-func (w *compactWriter) seal() error {
-	if w.f == nil {
-		return nil
-	}
-	if writeSidecar(w.path, w.size, 0, w.pending) == nil {
-		w.met.Load().sidecarRebuild()
-	}
-	if err := w.f.Sync(); err != nil {
-		w.f.Close()
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := w.f.Close(); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	w.f, w.pending = nil, nil
-	return nil
-}
-
-func (w *compactWriter) finish() error { return w.seal() }

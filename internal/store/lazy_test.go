@@ -758,6 +758,47 @@ func TestCompactNeverLosesAcknowledgedPut(t *testing.T) {
 	}
 }
 
+// A compaction that fails part-way has already written fresh segments under
+// the next sequence numbers. The next Put must rotate past them: appending
+// to one of those files would index its record at the wrong offset and lose
+// it on reopen.
+func TestFailedCompactDoesNotReuseSegmentNames(t *testing.T) {
+	dir := t.TempDir()
+	d, err := OpenDisk[payload](dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.SegmentBytes = 1 // one record per segment: k0 in id 0, k1 in id 1
+	if err := d.Put("k0", pay(0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Put("k1", pay(1)); err != nil {
+		t.Fatal(err)
+	}
+	// White-box fault: forget k1's segment so the compaction fails on it
+	// after copying k0 into a fresh segment.
+	d.tab.drop(1)
+	if _, err := d.Compact(); err == nil {
+		t.Fatal("Compact over a vanished segment must fail")
+	}
+	if err := d.Put("k2", pay(123456)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenDisk[payload](dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for k, want := range map[string]payload{"k0": pay(0), "k1": pay(1), "k2": pay(123456)} {
+		if v, ok := r.Get(k); !ok || v != want {
+			t.Errorf("Get(%s) after reopen = %v, %v; want %v", k, v, ok, want)
+		}
+	}
+}
+
 // --- format compatibility ---------------------------------------------------
 
 // TestDiskOpensFirstGenerationLayout pins byte-format compatibility with

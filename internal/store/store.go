@@ -5,9 +5,12 @@
 // so a result simulated by one `scalefold sweep`, one figure runner or one
 // sweep-service job is served for free to every later one.
 //
-// Two implementations ship: Mem, a trivial map for tests and store-less
-// serving, and Disk, an append-only JSON-lines segment log reloaded at
-// startup. Both are safe for concurrent use.
+// Three implementations ship: Mem, a trivial map for tests and store-less
+// serving; Disk, an append-only JSON-lines segment log reloaded at startup,
+// with one writer per directory; and Shared, the same log written by many
+// processes, each appending to its own lease and tailing the others'. Disk
+// and Shared are built on one segment store and never open one directory
+// at the same time. All are safe for concurrent use.
 package store
 
 import (

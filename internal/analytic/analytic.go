@@ -43,10 +43,12 @@ const sampleRanks = 4
 
 // prepCache memoizes the sampled per-rank prep-time draws. The draws are a
 // pure function of (seed, prep model, pseudo-rank, epoch length) — every
-// cell of a grid sweep shares them — and producing one draw re-seeds a
-// keyed math/rand source (~10µs to refill its lagged-Fibonacci state),
-// which profiling shows is ~90% of a cold Estimate. One entry is a few
-// hundred bytes; callers treat the cached slice as read-only.
+// cell of a grid sweep shares them — and producing one draw replays the
+// sample's geometry prefix, a few hundred RNG draws (seeding itself is O(1),
+// see internal/rng), which profiling shows is ~80% of a cold Estimate. On
+// the default 24-cell grid the cache still earns 6.7× (4,964 vs 738
+// analytic cells/s, one core of a 2-core Xeon). One entry is a few hundred
+// bytes; callers treat the cached slice as read-only.
 var prepCache = sweep.NewCache[[]time.Duration]()
 
 // sampledPrepTimes returns pseudo-rank r's prep-time stream for one warm

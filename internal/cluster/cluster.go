@@ -18,6 +18,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/gpu"
 	"repro/internal/perturb"
+	"repro/internal/rng"
 	"repro/internal/workload"
 )
 
@@ -231,7 +232,7 @@ func Simulate(prog *workload.Program, ranks, dapDegree int, o Options) Result {
 
 	rankRNGs := make([]*rand.Rand, ranks)
 	for r := range rankRNGs {
-		rankRNGs[r] = rand.New(rand.NewSource(o.Seed*31 + int64(r)))
+		rankRNGs[r] = rand.New(rng.New(o.Seed*31 + int64(r)))
 	}
 
 	// Perturbation streams: one private RNG stream per rank, disjoint from

@@ -16,6 +16,8 @@ import (
 	"math"
 	"math/rand"
 	"time"
+
+	"repro/internal/rng"
 )
 
 // Schedule describes the two-phase pretraining run.
@@ -69,8 +71,7 @@ func (s Schedule) LDDTAt(step int) float64 {
 		v = ceil2 - (ceil2-start)*math.Exp(-float64(step-s.SwitchStep)/tau2)
 	}
 	if s.Noise > 0 {
-		rng := rand.New(rand.NewSource(s.Seed*92821 + int64(step)))
-		v += rng.NormFloat64() * s.Noise
+		v += rand.New(rng.New(s.Seed*92821+int64(step))).NormFloat64() * s.Noise
 	}
 	if v < 0 {
 		v = 0

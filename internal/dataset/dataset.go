@@ -15,6 +15,8 @@ package dataset
 import (
 	"math"
 	"math/rand"
+
+	"repro/internal/rng"
 )
 
 // NumResidueTypes is the amino-acid alphabet size (20 + unknown).
@@ -52,7 +54,7 @@ func NewGenerator(seed int64) *Generator {
 // sequence. Sample and Geometry both start here, which is what keeps their
 // shared prefix bit-identical.
 func (g *Generator) rngFor(idx int) *rand.Rand {
-	return rand.New(rand.NewSource(g.seed*1_000_003 + int64(idx)))
+	return rand.New(rng.New(g.seed*1_000_003 + int64(idx)))
 }
 
 // drawLen and drawMSASize are the geometry draws of the sample sequence,
@@ -106,7 +108,7 @@ type GeomSampler struct {
 
 // Sampler returns a reusable geometry sampler over g.
 func (g *Generator) Sampler() *GeomSampler {
-	return &GeomSampler{g: g, rng: rand.New(rand.NewSource(0))}
+	return &GeomSampler{g: g, rng: rand.New(rng.New(0))}
 }
 
 // Geometry is Generator.Geometry without the per-call RNG allocation:

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sort"
 	"time"
+
+	"repro/internal/rng"
 )
 
 // PrepTimeModel reproduces the Figure 4 distribution of batch preparation
@@ -61,7 +63,7 @@ func (m PrepTimeModel) Duration(s *Sample, seed int64) time.Duration {
 // materialized sample. The simulator hot path pairs it with Geometry so no
 // protein is ever folded just to be timed.
 func (m PrepTimeModel) DurationAt(idx, seqLen, msaSize int, seed int64) time.Duration {
-	return m.durationAt(rand.New(rand.NewSource(seed*7_919+int64(idx))), seqLen, msaSize)
+	return m.durationAt(rand.New(rng.New(seed*7_919+int64(idx))), seqLen, msaSize)
 }
 
 func (m PrepTimeModel) durationAt(rng *rand.Rand, seqLen, msaSize int) time.Duration {
@@ -94,7 +96,7 @@ type PrepTimer struct {
 
 // Timer returns a reusable evaluator over m.
 func (m PrepTimeModel) Timer() *PrepTimer {
-	return &PrepTimer{m: m, rng: rand.New(rand.NewSource(0))}
+	return &PrepTimer{m: m, rng: rand.New(rng.New(0))}
 }
 
 // DurationAt matches PrepTimeModel.DurationAt bit for bit: reseeding

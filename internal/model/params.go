@@ -19,6 +19,7 @@ import (
 	"sort"
 
 	"repro/internal/autograd"
+	"repro/internal/rng"
 	"repro/internal/tensor"
 )
 
@@ -36,7 +37,7 @@ type Params struct {
 // NewParams creates an empty registry bound to tape, with a seeded
 // initializer RNG.
 func NewParams(tape *autograd.Tape, seed int64) *Params {
-	return &Params{tape: tape, byName: map[string]*autograd.Value{}, rng: rand.New(rand.NewSource(seed))}
+	return &Params{tape: tape, byName: map[string]*autograd.Value{}, rng: rand.New(rng.New(seed))}
 }
 
 // Tape returns the registry's current tape.

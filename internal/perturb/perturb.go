@@ -29,6 +29,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"repro/internal/rng"
 )
 
 // Spec declares a perturbation model. All fields are optional; the zero
@@ -194,12 +196,12 @@ type Stream struct {
 // so enabling perturbation never disturbs the unperturbed noise.
 func (s Spec) Stream(seed int64, r int) *Stream {
 	s = s.Normalize()
-	rng := rand.New(rand.NewSource(seed*1_000_003 + int64(r)*7_919 + 257))
+	rr := rand.New(rng.New(seed*1_000_003 + int64(r)*7_919 + 257))
 	factor := 1.0
-	if s.SlowdownProb > 0 && rng.Float64() < s.SlowdownProb {
-		factor = 1 + rng.Float64()*(s.SlowdownFactor-1)
+	if s.SlowdownProb > 0 && rr.Float64() < s.SlowdownProb {
+		factor = 1 + rr.Float64()*(s.SlowdownFactor-1)
 	}
-	return &Stream{spec: s, rng: rng, factor: factor}
+	return &Stream{spec: s, rng: rr, factor: factor}
 }
 
 // Factor returns the rank's persistent compute slowdown factor (1 for a

@@ -2,6 +2,7 @@ package scalefold
 
 import (
 	"bytes"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cluster"
@@ -226,22 +227,23 @@ func TestSweepGateWrapsColdCellsOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := tinySpec(cache)
-	gated := 0
-	s.Gate = func(run func()) { gated++; run() }
+	// Cells run concurrently, so the gate counts atomically.
+	var gated atomic.Int64
+	s.Gate = func(run func()) { gated.Add(1); run() }
 	if _, err := s.Run(nil); err != nil {
 		t.Fatal(err)
 	}
-	if gated != 0 {
-		t.Fatalf("gate ran %d times on a memo-warm sweep, want 0", gated)
+	if n := gated.Load(); n != 0 {
+		t.Fatalf("gate ran %d times on a memo-warm sweep, want 0", n)
 	}
 	cold := tinySpec(nil)
-	gated = 0
-	cold.Gate = func(run func()) { gated++; run() }
+	gated.Store(0)
+	cold.Gate = func(run func()) { gated.Add(1); run() }
 	if _, err := cold.Run(nil); err != nil {
 		t.Fatal(err)
 	}
-	if gated != 4 {
-		t.Fatalf("gate ran %d times on a cold sweep, want 4", gated)
+	if n := gated.Load(); n != 4 {
+		t.Fatalf("gate ran %d times on a cold sweep, want 4", n)
 	}
 }
 

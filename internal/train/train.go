@@ -13,6 +13,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/kernels"
 	"repro/internal/model"
+	"repro/internal/rng"
 	"repro/internal/tensor"
 )
 
@@ -85,10 +86,10 @@ func (t *Trainer) TrainStep(batch []*dataset.Sample) float64 {
 	t.Model.Params.Rebind(tape)
 	// The featurization RNG is a pure function of the step counter so a
 	// run resumed from a checkpoint replays identically.
-	rng := rand.New(rand.NewSource(t.Cfg.Seed*31 + int64(t.step)))
+	r := rand.New(rng.New(t.Cfg.Seed*31 + int64(t.step)))
 	var total float64
 	for _, s := range batch {
-		f := dataset.Featurize(s, t.Model.Cfg, rng)
+		f := dataset.Featurize(s, t.Model.Cfg, r)
 		out := t.Model.Forward(f)
 		loss := ag.Scale(t.Loss(out, s), 1/float32(len(batch)))
 		tape.Backward(loss)
@@ -130,8 +131,7 @@ func (t *Trainer) applyUpdate() {
 func (t *Trainer) Predict(s *dataset.Sample) [][3]float32 {
 	tape := ag.NewTape()
 	t.Model.Params.Rebind(tape)
-	rng := rand.New(rand.NewSource(t.Cfg.Seed + 777))
-	f := dataset.Featurize(s, t.Model.Cfg, rng)
+	f := dataset.Featurize(s, t.Model.Cfg, rand.New(rng.New(t.Cfg.Seed+777)))
 	out := t.Model.Forward(f)
 	coords := make([][3]float32, t.Model.Cfg.Crop)
 	for i := range coords {

@@ -126,10 +126,7 @@ func main() {
 			scalefold.AttachStore(nil, nil)
 			ds.Close()
 		}()
-		onErr := func(err error) { fmt.Fprintf(os.Stderr, "%s: store: %v\n", cmd, err) }
-		if err := scalefold.AttachStore(ds, onErr); err != nil {
-			onErr(err)
-		}
+		scalefold.AttachStore(ds, func(err error) { fmt.Fprintf(os.Stderr, "%s: store: %v\n", cmd, err) })
 	}
 	if cmd == "all" {
 		for _, name := range allRunners {
@@ -559,6 +556,10 @@ bounds straddle the resilience cliff`)
 	}
 }
 
+// readHeaderTimeout bounds how long serve waits for a request's headers, so a
+// client that opens a connection and trickles bytes cannot hold it forever.
+const readHeaderTimeout = 10 * time.Second
+
 func serveCmd(args []string) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8823", "listen address (host:port; port 0 picks a free one)")
@@ -623,7 +624,7 @@ API listener so profiling is never exposed where jobs are`)
 	}
 	fmt.Fprintf(os.Stderr, "scalefold serve: listening on http://%s — %s\n", ln.Addr(), storeNote)
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)

@@ -391,12 +391,12 @@ func (c *Coordinator) CompleteCell(req CompleteRequest) CompleteResponse {
 }
 
 // settleLocked finishes a task with its result: write-through to the shared
-// store (skipped when the store already holds the key — workers sharing the
-// store have usually written it already), wake every waiter, and drop the
-// task from the live map.
+// store (skipped when the store already holds a servable record — workers
+// sharing the store have usually written it already), wake every waiter,
+// and drop the task from the live map.
 func (c *Coordinator) settleLocked(t *task, res cluster.Result) {
 	if c.st != nil {
-		if _, ok := c.st.Get(t.key); !ok {
+		if _, ok := scalefold.Stored(c.st, t.key); !ok {
 			c.st.Put(t.key, res) // best-effort: waiters get res regardless
 		}
 	}
@@ -472,14 +472,12 @@ func (c *Coordinator) Execute(ctx context.Context, cfg scalefold.StepConfig) (cl
 // The report is meaningful only when err is nil.
 func (c *Coordinator) ExecuteReport(ctx context.Context, cfg scalefold.StepConfig) (cluster.Result, CellReport, error) {
 	key := cfg.Fingerprint()
-	if c.st != nil {
-		if r, ok := c.st.Get(key); ok && r.Goodput > 0 {
-			now := c.cfg.Now()
-			return r, CellReport{
-				Key: key, Owner: "coordinator", Source: "store-hit",
-				Enqueued: now, Claimed: now, Settled: now,
-			}, nil
-		}
+	if r, ok := scalefold.Stored(c.st, key); ok {
+		now := c.cfg.Now()
+		return r, CellReport{
+			Key: key, Owner: "coordinator", Source: "store-hit",
+			Enqueued: now, Claimed: now, Settled: now,
+		}, nil
 	}
 	c.mu.Lock()
 	if c.closed {

@@ -41,7 +41,7 @@ func (c *Coordinator) Mount(mux *http.ServeMux) {
 	}
 	mux.HandleFunc("POST /v1/workers/register", timed("register", func(w http.ResponseWriter, r *http.Request) {
 		var req RegisterRequest
-		if !decodeBody(w, r, &req) {
+		if !DecodeJSON(w, r, &req, "bad request: ") {
 			return
 		}
 		resp, err := c.RegisterWorker(req.Name)
@@ -53,7 +53,7 @@ func (c *Coordinator) Mount(mux *http.ServeMux) {
 	}))
 	mux.HandleFunc("POST /v1/workers/claim", timed("claim", func(w http.ResponseWriter, r *http.Request) {
 		var req ClaimRequest
-		if !decodeBody(w, r, &req) {
+		if !DecodeJSON(w, r, &req, "bad request: ") {
 			return
 		}
 		cells, err := c.Claim(req.WorkerID, req.Max)
@@ -65,7 +65,7 @@ func (c *Coordinator) Mount(mux *http.ServeMux) {
 	}))
 	mux.HandleFunc("POST /v1/workers/heartbeat", timed("heartbeat", func(w http.ResponseWriter, r *http.Request) {
 		var req HeartbeatRequest
-		if !decodeBody(w, r, &req) {
+		if !DecodeJSON(w, r, &req, "bad request: ") {
 			return
 		}
 		switch err := c.Heartbeat(req.WorkerID); {
@@ -81,7 +81,7 @@ func (c *Coordinator) Mount(mux *http.ServeMux) {
 	}))
 	mux.HandleFunc("POST /v1/workers/complete", timed("complete", func(w http.ResponseWriter, r *http.Request) {
 		var req CompleteRequest
-		if !decodeBody(w, r, &req) {
+		if !DecodeJSON(w, r, &req, "bad request: ") {
 			return
 		}
 		writeFabricJSON(w, http.StatusOK, c.CompleteCell(req))
@@ -91,14 +91,30 @@ func (c *Coordinator) Mount(mux *http.ServeMux) {
 	})
 }
 
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
+// MaxBodyBytes bounds every POST body the server decodes — job and search
+// submissions and the fleet protocol's requests alike. Real bodies are a few
+// kilobytes (a complete request carries one cluster.Result); the bound only
+// stops a client from making the server buffer unbounded input.
+const MaxBodyBytes = 4 << 20
+
+// DecodeJSON is the decoder behind every POST route the server mounts: it
+// strictly decodes a body of at most MaxBodyBytes into v, answering a JSON
+// 413 for an oversized body and a JSON 400 (its message prefixed by what)
+// for any other decode failure. It reports whether v was decoded.
+func DecodeJSON(w http.ResponseWriter, r *http.Request, v any, what string) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeFabricJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request: " + err.Error()})
-		return false
+	err := dec.Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooBig):
+		writeFabricJSON(w, http.StatusRequestEntityTooLarge, map[string]string{"error": err.Error()})
+	default:
+		writeFabricJSON(w, http.StatusBadRequest, map[string]string{"error": what + err.Error()})
 	}
-	return true
+	return false
 }
 
 func writeFabricErr(w http.ResponseWriter, err error) {

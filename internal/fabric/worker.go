@@ -202,23 +202,9 @@ func (w *Worker) executeCell(cell Cell) {
 		// store; refuse and let the coordinator retry elsewhere.
 		req.Err = "fingerprint mismatch: claimed " + cell.Key + ", scenario encodes " + got
 	} else {
-		// Run against a per-cell probe so the hit/miss outcome of THIS cell
-		// is separable from the worker's lifetime totals, then fold it in.
-		var probe scalefold.SweepMetrics
 		t0 := time.Now()
-		req.Result = cfg.RunVia(w.Store, w.OnStoreErr, &probe)
+		req.Result, req.Source = cfg.RunVia(w.Store, w.OnStoreErr, w.Metrics)
 		req.ElapsedMillis = float64(time.Since(t0)) / float64(time.Millisecond)
-		if probe.StoreHits.Load() > 0 {
-			req.Source = "store-hit"
-		} else {
-			req.Source = "simulated"
-		}
-		if w.Metrics != nil {
-			w.Metrics.Simulated.Add(probe.Simulated.Load())
-			w.Metrics.StoreHits.Add(probe.StoreHits.Load())
-			w.Metrics.MemoHits.Add(probe.MemoHits.Load())
-			w.Metrics.Remote.Add(probe.Remote.Load())
-		}
 	}
 	var resp CompleteResponse
 	if err := rpc(w.http(), w.Base, "/v1/workers/complete", req, &resp); err != nil {

@@ -13,11 +13,9 @@ package scalefold
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/analytic"
 	"repro/internal/cluster"
 	"repro/internal/comm"
 	"repro/internal/dataset"
@@ -54,18 +52,19 @@ func (c StepConfig) clusterOptions() cluster.Options {
 	return o
 }
 
-// stepCache memoizes simulation results process-wide by scenario
-// fingerprint: the reference cell shared by Figures 7, 8, 9 and 10 runs
-// once, and repeated sweep cells are free. It is the volatile L1 of the
-// memo; AttachStore adds a persistent L2 underneath it.
+// Process state is what the figure runners need, nothing more: specs carry
+// their own memo and store.
+//
+// stepCache memoizes the figure runners' results by scenario fingerprint:
+// the reference cell shared by Figures 7, 8, 9 and 10 runs once. It is the
+// volatile L1 of the memo; AttachStore adds a persistent L2 underneath it.
 var stepCache = sweep.NewCache[cluster.Result]()
 
-// The process-wide persistent layer under stepCache (nil = memory only).
-var (
-	storeMu      sync.RWMutex
-	procStore    store.Store[cluster.Result]
-	procStoreErr func(error)
-)
+// figures resolves the figure runners' cold cells: memory-only until
+// AttachStore swaps in one on a persistent store. Never nil.
+var figures atomic.Pointer[resolver]
+
+func init() { figures.Store(&resolver{}) }
 
 // simCount counts actual simulator executions (cold cells): the quantity
 // memoization and the persistent store exist to minimize. Simulations
@@ -76,165 +75,42 @@ var simCount atomic.Int64
 // in this process — cache and store hits excluded.
 func Simulations() int64 { return simCount.Load() }
 
-// AttachStore puts the process-wide memo on a persistent store: every
-// simulation triggered by StepConfig.Run, the figure runners or SweepSpec.Run
-// (unless the spec carries its own Store) first consults s and writes its
-// result through afterwards. The current in-memory memo is drained into s —
-// via sweep.Cache.Snapshot — so results computed before attachment persist
-// too; the first drain error is returned (the attachment stands regardless).
-// onErr, when non-nil, receives later write-through errors; lookups and
-// simulation proceed when the store misbehaves, so a full disk degrades to
-// memory-only operation rather than failing sweeps. Pass nil to detach.
-func AttachStore(s store.Store[cluster.Result], onErr func(error)) error {
-	storeMu.Lock()
-	procStore, procStoreErr = s, onErr
-	storeMu.Unlock()
-	if s == nil {
-		return nil
-	}
-	var firstErr error
-	for _, e := range stepCache.Snapshot() {
-		if err := s.Put(e.Key, e.Value); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-// processStore returns the currently attached store, if any.
-func processStore() (store.Store[cluster.Result], func(error)) {
-	storeMu.RLock()
-	defer storeMu.RUnlock()
-	return procStore, procStoreErr
+// AttachStore puts the figure runners' memo on a persistent store: every
+// cold cell of StepConfig.Run and the figure runners first consults s and
+// writes its result through afterwards. Specs (SweepSpec, SearchSpec,
+// ResilienceSpec) are unaffected — they carry their own Store. onErr, when
+// non-nil, receives write-through errors; lookups and simulation proceed
+// when the store misbehaves, so a full disk degrades to memory-only
+// operation rather than failing figures. Pass nil to detach. Attach before
+// any figure runner starts: results already memoized stay out of the store.
+func AttachStore(s store.Store[cluster.Result], onErr func(error)) {
+	figures.Store(&resolver{store: s, onStoreErr: onErr})
 }
 
 // ResetStepCache drops every memoized simulation result. Benchmarks call it
 // between iterations so repeated figure runs measure the simulator, not a
 // cache lookup, and so seed-varying loops don't grow the cache without
 // bound. Censuses stay cached — they are immutable derivations of the model
-// config, not per-scenario work. Not safe concurrently with running sweeps.
+// config, not per-scenario work. Not safe concurrently with running figures.
 func ResetStepCache() { stepCache = sweep.NewCache[cluster.Result]() }
 
-// simulate runs the configuration cold, bypassing the memoization cache and
-// the persistent store.
-func (c StepConfig) simulate() cluster.Result {
-	simCount.Add(1)
-	return cluster.Simulate(scenario.CensusFor(c.Census), c.Ranks, c.DAP, c.clusterOptions())
-}
-
-// simulateVia resolves the configuration against a persistent store:
-// store hit, else simulate and write through. m, when non-nil, counts how
-// the cell was satisfied. This is the compute function under every memo
-// lookup — the in-memory cache stays the singleflight layer on top.
-//
-// A stored record with Goodput 0 predates the perturbation layer's Result
-// metrics (every simulated Result has Goodput > 0 — it is exactly 1 on a
-// healthy run): its key is still valid (the v3 encoding didn't move), but
-// serving it would print zero goodput/percentiles where a fresh simulation
-// reports real ones. Such records are transparently upgraded — re-simulated
-// (bit-identical legacy fields, by the determinism contract) and
-// overwritten with the full metrics.
-func (c StepConfig) simulateVia(st store.Store[cluster.Result], onErr func(error), m *SweepMetrics) cluster.Result {
-	r, _ := c.simulateViaSrc(st, onErr, m)
-	return r
-}
-
-// simulateViaSrc is simulateVia plus the resolution source — "store-hit" when
-// the persistent store satisfied the cell, "simulated" when the simulator ran,
-// "analytic" when the closed-form estimator served it — which the sweep
-// layer's cell-lifecycle tracing records as span metadata.
-func (c StepConfig) simulateViaSrc(st store.Store[cluster.Result], onErr func(error), m *SweepMetrics) (cluster.Result, string) {
-	return c.simulateViaSrcObs(st, onErr, m, nil)
-}
-
-// simulateViaSrcObs is simulateViaSrc plus the estimate-latency observer the
-// sweep service's histogram hangs off. Non-exact modes route here: analytic
-// cells go to the estimator, and an auto cell that reached this layer
-// unresolved (direct StepConfig.Run users — SweepSpec.Run resolves at
-// lowering) is resolved the same deterministic way first.
-func (c StepConfig) simulateViaSrcObs(st store.Store[cluster.Result], onErr func(error), m *SweepMetrics, onEstimate func(time.Duration)) (cluster.Result, string) {
-	if c.Mode == scenario.ModeAuto {
-		var escalated bool
-		if c, escalated = c.ResolveAuto(); escalated && m != nil {
-			m.Escalated.Add(1)
-		}
-	}
-	if c.Mode == scenario.ModeAnalytic {
-		return c.estimateViaSrc(st, onErr, m, onEstimate)
-	}
-	if st == nil {
-		if m != nil {
-			m.Simulated.Add(1)
-		}
-		return c.simulate(), "simulated"
-	}
-	key := c.Fingerprint()
-	if r, ok := st.Get(key); ok && r.Goodput > 0 {
-		if m != nil {
-			m.StoreHits.Add(1)
-		}
-		return r, "store-hit"
-	}
-	r := c.simulate()
-	if m != nil {
-		m.Simulated.Add(1)
-	}
-	if err := st.Put(key, r); err != nil && onErr != nil {
-		onErr(err)
-	}
-	return r, "simulated"
-}
-
-// estimateViaSrc resolves an analytic-mode cell: store hit under its v5 key,
-// else the closed-form estimate (package analytic), written through like any
-// simulated result — so estimates persist, memoize and stream exactly like
-// exact cells, just under their own key generation. The estimator never bumps
-// the Simulations counter: that counts exact simulator runs, the quantity the
-// fast path exists to avoid.
-func (c StepConfig) estimateViaSrc(st store.Store[cluster.Result], onErr func(error), m *SweepMetrics, onEstimate func(time.Duration)) (cluster.Result, string) {
-	key := c.Fingerprint()
-	if st != nil {
-		if r, ok := st.Get(key); ok && r.Goodput > 0 {
-			if m != nil {
-				m.StoreHits.Add(1)
-			}
-			return r, "store-hit"
-		}
-	}
-	t0 := time.Now()
-	r, _, err := analytic.Estimate(c.Scenario)
-	if err != nil {
-		panic("scalefold: unvalidated scenario reached the estimator: " + err.Error())
-	}
-	if onEstimate != nil {
-		onEstimate(time.Since(t0))
-	}
-	if m != nil {
-		m.Analytic.Add(1)
-	}
-	if st != nil {
-		if err := st.Put(key, r); err != nil && onErr != nil {
-			onErr(err)
-		}
-	}
-	return r, "analytic"
-}
-
 // RunVia resolves the configuration against an explicit store — store hit,
-// else simulate and write through — without touching the process-wide memo
-// cache. Fabric workers execute claimed cells with it: the shared result
-// store IS their memo, so a cell finished by any worker is a hit for every
-// worker, and the Simulations counter reflects actual simulator runs only.
-func (c StepConfig) RunVia(st store.Store[cluster.Result], onErr func(error), m *SweepMetrics) cluster.Result {
-	return c.simulateVia(st, onErr, m)
+// else compute and write through — without touching the figure runners'
+// memo, and reports how it was satisfied ("store-hit", "simulated" or
+// "analytic"). Fabric workers execute claimed cells with it: the shared
+// result store IS their memo, so a cell finished by any worker is a hit for
+// every worker. m, when non-nil, counts the outcome.
+func (c StepConfig) RunVia(st store.Store[cluster.Result], onErr func(error), m *SweepMetrics) (cluster.Result, string) {
+	r, src, _ := resolver{store: st, onStoreErr: onErr, metrics: m}.resolve(c) // no runner: never fails
+	return r, src
 }
 
 // Run simulates the configuration and returns the cluster result, memoized
 // by Fingerprint and backed by the attached persistent store, if any.
 func (c StepConfig) Run() cluster.Result {
 	res, _ := stepCache.Do(c.Fingerprint(), func() cluster.Result {
-		st, onErr := processStore()
-		return c.simulateVia(st, onErr, nil)
+		r, _, _ := figures.Load().resolve(c) // no runner: never fails
+		return r
 	})
 	return res
 }
@@ -244,18 +120,19 @@ func (c StepConfig) Run() cluster.Result {
 func (c StepConfig) StepSeconds() float64 { return c.Run().MedianStep.Seconds() }
 
 // runConfigs executes step configurations through the sweep engine on
-// `workers` goroutines (<= 0: GOMAXPROCS), sharing the process-wide
-// memoization cache. Results come back in input order, so downstream output
-// is byte-identical for every worker count.
+// `workers` goroutines (<= 0: GOMAXPROCS), sharing the figure runners' memo.
+// Results come back in input order, so downstream output is byte-identical
+// for every worker count.
 func runConfigs(workers int, cfgs []StepConfig) []cluster.Result {
 	cells := make([]sweep.Cell[StepConfig], len(cfgs))
 	for i, c := range cfgs {
 		cells[i] = sweep.Cell[StepConfig]{Key: c.Fingerprint(), Label: c.Name, Config: c}
 	}
 	eng := sweep.Engine[StepConfig, cluster.Result]{Workers: workers, Cache: stepCache}
+	rv := figures.Load()
 	return eng.Run(cells, func(c StepConfig) cluster.Result {
-		st, onErr := processStore()
-		return c.simulateVia(st, onErr, nil)
+		r, _, _ := rv.resolve(c) // no runner: never fails
+		return r
 	})
 }
 

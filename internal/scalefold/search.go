@@ -78,7 +78,8 @@ type SearchSpec struct {
 	// OnEstimate observes analytic-estimate latencies, as in SweepSpec.
 	OnEstimate func(time.Duration)
 	// Gate, when non-nil, wraps each cold probe's execution (the service's
-	// shared slot semaphore + cancel drain).
+	// shared slot semaphore + cancel drain). A Gate that returns without
+	// running the probe stops the search with search.ErrStopped.
 	Gate func(run func())
 	// Stop, when non-nil, is polled before every probe; true aborts the
 	// search with search.ErrStopped.
@@ -226,7 +227,7 @@ func (s SearchSpec) configFor(pt search.Point) (StepConfig, error) {
 	if err != nil {
 		return StepConfig{}, err
 	}
-	n = (SweepSpec{Mode: s.Mode}).resolveMode(n, s.Metrics)
+	n = resolveMode(n, s.Mode, s.Metrics)
 	return StepConfig{
 		Name:     fmt.Sprintf("search ranks=%d dap=%d fail=%g", pt.Ranks, pt.DAP, pt.FailProb),
 		Scenario: n,
@@ -234,27 +235,21 @@ func (s SearchSpec) configFor(pt search.Point) (StepConfig, error) {
 }
 
 // Run executes the search and returns its Frontier. Probes resolve through
-// the standard chain — the in-memory memo (Cache; nil selects the
-// process-wide cache), the persistent store (Store; nil falls back to the
-// process-wide attachment), then analytic estimate or exact simulation per
-// the resolved mode — so repeated runs against a warm store probe without
-// simulating, and the Frontier bytes are identical either way.
+// the standard chain — the in-memory memo (Cache; nil means a fresh memo for
+// this Run), the persistent store (Store; nil means memory only), then
+// analytic estimate or exact simulation per the resolved mode — so repeated
+// runs against a warm store probe without simulating, and the Frontier bytes
+// are identical either way. A probe whose Gate declines to run it aborts the
+// search with search.ErrStopped.
 func (s SearchSpec) Run() (Frontier, error) {
 	s = s.WithDefaults()
 	if err := s.Validate(); err != nil {
 		return Frontier{}, err
 	}
-	st, onErr := s.Store, s.OnStoreErr
-	if st == nil {
-		var attachedErr func(error)
-		st, attachedErr = processStore()
-		if onErr == nil {
-			onErr = attachedErr
-		}
-	}
+	rv := resolver{store: s.Store, onStoreErr: s.OnStoreErr, metrics: s.Metrics, onEstimate: s.OnEstimate}
 	cache := s.Cache
 	if cache == nil {
-		cache = stepCache
+		cache = sweep.NewCache[cluster.Result]()
 	}
 	// The driver is sequential, so a plain variable carries each probe's
 	// wall-clock latency from Probe to the OnProbe observer.
@@ -268,33 +263,31 @@ func (s SearchSpec) Run() (Frontier, error) {
 		}
 		t0 := time.Now()
 		var src string
-		r, cached := cache.Do(cfg.Fingerprint(), func() cluster.Result {
-			var res cluster.Result
-			body := func() { res, src = cfg.simulateViaSrcObs(st, onErr, s.Metrics, s.OnEstimate) }
-			if s.Gate != nil {
-				s.Gate(body)
-			} else {
+		ran := true
+		r, cached := cache.Do(cfg.Fingerprint(), func() (res cluster.Result) {
+			body := func() { res, src, _ = rv.resolve(cfg) }
+			if s.Gate == nil {
 				body()
+				return res
 			}
+			ran = false
+			s.Gate(func() { ran = true; body() })
 			return res
 		})
 		lastDur = time.Since(t0)
+		if !ran {
+			// The gate drained this probe without running it (the job was
+			// cancelled): surface the stop rather than logging a zero sample.
+			return search.Sample{}, "", search.ErrStopped
+		}
 		switch {
 		case cached:
 			src = "memo-hit"
-			if s.Metrics != nil {
-				s.Metrics.MemoHits.Add(1)
-			}
+			s.Metrics.note("memo")
 		case src == "simulated":
 			src = "exact"
 		case src == "store-hit":
 			src = "memo-hit"
-		}
-		if s.Stop != nil && s.Stop() && r.Goodput == 0 {
-			// The gate drained this probe without running it (cancel won
-			// the race after the budget check): surface the stop rather
-			// than logging a zero sample.
-			return search.Sample{}, src, search.ErrStopped
 		}
 		return search.Sample{
 			Goodput:   r.Goodput,

@@ -2,6 +2,7 @@ package scalefold
 
 import (
 	"encoding/json"
+	"errors"
 	"math"
 	"runtime"
 	"strings"
@@ -226,5 +227,24 @@ func TestSearchLocalizesResilienceCliff(t *testing.T) {
 	}
 	if sources["memo-hit"] != f2.Used || len(sources) != 1 {
 		t.Fatalf("repeat run sources = %v; want %d memo hits only", sources, f2.Used)
+	}
+}
+
+// TestSearchGateDrainStops pins cancellation as an explicit error: a Gate
+// that declines to run a probe (the service's cancel drain) stops the search
+// with search.ErrStopped, even with no Stop hook — never a frontier of
+// zero-goodput samples.
+func TestSearchGateDrainStops(t *testing.T) {
+	spec := DefaultSearchSpec()
+	spec.Budget = 6
+	spec.Cache = sweep.NewCache[cluster.Result]()
+	spec.Store = store.NewMem[cluster.Result]()
+	spec.Gate = func(func()) {}
+	f, err := spec.Run()
+	if !errors.Is(err, search.ErrStopped) {
+		t.Fatalf("drained search = %d probes, err %v; want search.ErrStopped", len(f.Probes), err)
+	}
+	if n := spec.Store.Len(); n != 0 {
+		t.Fatalf("drained probes persisted %d records", n)
 	}
 }

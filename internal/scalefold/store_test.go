@@ -5,7 +5,9 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/analytic"
 	"repro/internal/cluster"
+	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/store"
 	"repro/internal/sweep"
@@ -109,49 +111,31 @@ func TestStoreSurvivesDiskRoundTrip(t *testing.T) {
 	}
 }
 
-func TestAttachStoreDrainsMemo(t *testing.T) {
-	// Results memoized before attachment must be drained into the store via
-	// Cache.Snapshot; results computed after go through write-through.
+func TestAttachStoreWritesThrough(t *testing.T) {
+	// Figure-runner results computed after attachment go through
+	// write-through, and a fresh memo (as after a restart) is served from
+	// the store.
 	ResetStepCache()
+	st := store.NewMem[cluster.Result]()
+	AttachStore(st, nil)
 	defer func() {
-		if err := AttachStore(nil, nil); err != nil {
-			t.Fatal(err)
-		}
+		AttachStore(nil, nil)
 		ResetStepCache()
 	}()
 
-	pre := tinySpec(nil).Grid()
-	points, err := pre.Expand()
+	points, err := tinySpec(nil).Grid().Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := tinySpec(nil)
-	cfg, err := spec.configFor(points[0])
+	cfg, err := tinySpec(nil).configFor(points[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := cfg.Run() // lands in the process-wide memo only
-
-	st := store.NewMem[cluster.Result]()
-	if err := AttachStore(st, nil); err != nil {
-		t.Fatal(err)
-	}
+	want := cfg.Run()
 	if got, ok := st.Get(cfg.Fingerprint()); !ok || got != want {
-		t.Fatalf("attach must drain the memo: %v, %v", got, ok)
-	}
-
-	// Post-attach runs write through: a config not yet simulated appears.
-	cfg2, err := spec.configFor(points[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2 := cfg2.Run()
-	if got, ok := st.Get(cfg2.Fingerprint()); !ok || got != res2 {
 		t.Fatal("post-attach Run must write through to the store")
 	}
 
-	// And a fresh memo (simulating a restart) is served from the store: the
-	// simulation counter must not move.
 	ResetStepCache()
 	before := Simulations()
 	if got := cfg.Run(); got != want {
@@ -162,23 +146,113 @@ func TestAttachStoreDrainsMemo(t *testing.T) {
 	}
 }
 
+// TestSweepMetricsCountMemoHits pins every resolution route: the source it
+// reports, the one SweepMetrics counter it moves, whether the simulator ran,
+// and what it leaves in the store.
 func TestSweepMetricsCountMemoHits(t *testing.T) {
-	cache := sweep.NewCache[cluster.Result]()
-	s := tinySpec(cache)
-	s.Metrics = &SweepMetrics{}
-	if _, err := s.Run(nil); err != nil {
+	t.Run("memo", func(t *testing.T) {
+		cache := sweep.NewCache[cluster.Result]()
+		s := tinySpec(cache)
+		s.Metrics = &SweepMetrics{}
+		if _, err := s.Run(nil); err != nil {
+			t.Fatal(err)
+		}
+		s2 := tinySpec(cache)
+		s2.Metrics = &SweepMetrics{}
+		s2.Trace = obs.NewTracer()
+		if _, err := s2.Run(nil); err != nil {
+			t.Fatal(err)
+		}
+		if n := s2.Metrics.MemoHits.Load(); n != 4 {
+			t.Fatalf("cache-warm run had %d memo hits, want 4", n)
+		}
+		if n := s2.Metrics.Simulated.Load(); n != 0 {
+			t.Fatalf("cache-warm run simulated %d cells, want 0", n)
+		}
+		for _, ev := range s2.Trace.Events() {
+			if ev.Cat == "cell" && ev.Args["source"] != "memo" {
+				t.Fatalf("cache-warm cell span has source %q, want memo", ev.Args["source"])
+			}
+		}
+	})
+
+	exact := Figure7Config("H100", 32, 1)
+	exact.Steps = 2
+	ana := exact
+	ana.Mode = scenario.ModeAnalytic
+	simulated, _, _ := resolver{}.resolve(exact)
+	estimated, _, err := analytic.Estimate(ana.Scenario)
+	if err != nil {
 		t.Fatal(err)
 	}
-	s2 := tinySpec(cache)
-	s2.Metrics = &SweepMetrics{}
-	if _, err := s2.Run(nil); err != nil {
-		t.Fatal(err)
+	legacy := simulated
+	legacy.Goodput = 0 // a record written before Result carried goodput
+	remote := cluster.Result{MeanStep: 7, Goodput: 1}
+	cases := []struct {
+		name    string
+		cfg     StepConfig
+		stored  *cluster.Result // the store's record before resolving
+		runner  bool            // dispatch exact cells to a stub Runner
+		src     string
+		counter string // the one SweepMetrics counter that moves
+		sims    int64  // simulator runs
+		res     cluster.Result
+		persist bool // the result is written through
+	}{
+		{"store-hit", exact, &simulated, false, "store-hit", "StoreHits", 0, simulated, true},
+		{"analytic", ana, nil, false, "analytic", "Analytic", 0, estimated, true},
+		{"simulated", exact, nil, false, "simulated", "Simulated", 1, simulated, true},
+		{"legacy record re-resolved", exact, &legacy, false, "simulated", "Simulated", 1, simulated, true},
+		{"remote", exact, nil, true, "remote", "Remote", 0, remote, false},
+		{"store-hit before remote", exact, &simulated, true, "store-hit", "StoreHits", 0, simulated, true},
 	}
-	if n := s2.Metrics.MemoHits.Load(); n != 4 {
-		t.Fatalf("cache-warm run had %d memo hits, want 4", n)
-	}
-	if n := s2.Metrics.Simulated.Load(); n != 0 {
-		t.Fatalf("cache-warm run simulated %d cells, want 0", n)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			st := store.NewMem[cluster.Result]()
+			key := tc.cfg.Fingerprint()
+			if tc.stored != nil {
+				if err := st.Put(key, *tc.stored); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var m SweepMetrics
+			rv := resolver{store: st, metrics: &m}
+			if tc.runner {
+				rv.runner = func(StepConfig) (cluster.Result, error) { return remote, nil }
+			}
+			sims0 := Simulations()
+			res, src, err := rv.resolve(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if src != tc.src || res != tc.res {
+				t.Fatalf("resolve = %+v, %q; want %+v, %q", res, src, tc.res, tc.src)
+			}
+			if got := Simulations() - sims0; got != tc.sims {
+				t.Fatalf("simulator ran %d times, want %d", got, tc.sims)
+			}
+			counters := map[string]int64{
+				"MemoHits": m.MemoHits.Load(), "StoreHits": m.StoreHits.Load(),
+				"Analytic": m.Analytic.Load(), "Simulated": m.Simulated.Load(),
+				"Remote": m.Remote.Load(), "Escalated": m.Escalated.Load(),
+			}
+			for name, n := range counters {
+				want := int64(0)
+				if name == tc.counter {
+					want = 1
+				}
+				if n != want {
+					t.Fatalf("counters %v: want only %s = 1", counters, tc.counter)
+				}
+			}
+			stored, ok := st.Get(key)
+			if tc.persist && (!ok || stored != tc.res) {
+				t.Fatalf("store holds %+v, %v; want the result written through", stored, ok)
+			}
+			if !tc.persist && ok {
+				t.Fatalf("remote result %+v was written through; its owner persists it", stored)
+			}
+		})
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/analytic"
 	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/perturb"
@@ -83,14 +82,13 @@ type SweepSpec struct {
 	// bearing for analytic cells (v5 keys — an estimate must never satisfy
 	// an exact lookup); exact cells keep their v3/v4 keys byte-identical.
 	Mode string
-	// Cache memoizes results across Run calls. nil selects the process-wide
-	// cache shared with the figure runners; benchmarks and determinism
-	// tests pass a fresh one to force cold execution.
+	// Cache memoizes results across Run calls that share it. nil means a
+	// fresh memo for this Run: cells repeated within the sweep still
+	// resolve once.
 	Cache *sweep.Cache[cluster.Result]
 	// Store, when non-nil, persistently backs the memo for this sweep:
 	// cells are looked up in the store before simulating and written
-	// through after. nil falls back to the process-wide store attached via
-	// AttachStore (which may itself be nil: memory-only).
+	// through after. nil means memory only.
 	Store store.Store[cluster.Result]
 	// OnStoreErr, when non-nil, receives store write-through errors (the
 	// sweep continues; a failing store degrades to memory-only operation).
@@ -228,53 +226,6 @@ func (s SweepSpec) configFor(p sweep.Point) (StepConfig, error) {
 	return c, nil
 }
 
-// resolveMode stamps the spec-level mode on a lowered scenario (a scenario's
-// own non-empty mode wins, mirroring how its perturb block outranks the
-// spec's) and resolves auto mode to its concrete per-cell resolution, counting
-// escalations on m. Auto resolves here, at lowering time, so the cells the
-// engine sees are plain analytic or exact cells — same fingerprints, memo
-// entries and store records as an explicitly-moded sweep would produce.
-func (s SweepSpec) resolveMode(n scenario.Scenario, m *SweepMetrics) scenario.Scenario {
-	if n.Mode == "" && s.Mode != "" && s.Mode != scenario.ModeExact {
-		n.Mode = s.Mode
-	}
-	if n.Mode == scenario.ModeAuto {
-		mode, escalated := resolveAuto(n)
-		n.Mode = mode
-		if escalated && m != nil {
-			m.Escalated.Add(1)
-		}
-	}
-	return n
-}
-
-// resolveAuto picks an auto-mode scenario's concrete resolution: analytic
-// when the estimate's bounds are actionable under analytic.DefaultPolicy,
-// exact when they straddle a decision boundary (or the estimator failed —
-// the simulator is the safe fallback). Deterministic: the estimator is a
-// pure function of the scenario, so the same sweep escalates the same cells
-// on every run, every machine and every worker count.
-func resolveAuto(n scenario.Scenario) (mode string, escalated bool) {
-	_, b, err := analytic.Estimate(n)
-	if err != nil || analytic.ShouldEscalate(b) {
-		return "", true
-	}
-	return scenario.ModeAnalytic, false
-}
-
-// ResolveAuto resolves an auto-mode configuration to the concrete cell the
-// sweep would run: Mode "analytic" when the estimate's bounds are actionable,
-// "" (exact) when they force escalation, reported by the second result.
-// Non-auto configurations return unchanged.
-func (c StepConfig) ResolveAuto() (StepConfig, bool) {
-	if c.Mode != scenario.ModeAuto {
-		return c, false
-	}
-	mode, escalated := resolveAuto(c.Scenario)
-	c.Mode = mode
-	return c, escalated
-}
-
 // scenarioPoint synthesizes the canonical axis coordinates of an explicit
 // scenario, so explicit-scenario rows land in the same result table (and
 // NDJSON row format) as grid rows.
@@ -378,6 +329,12 @@ func (s SweepSpec) Run(onProgress func(sweep.Progress)) ([]SweepRow, error) {
 	var rows []SweepRow
 	var cells []sweep.Cell[StepConfig]
 	var cellRow []int // cells[i] fills rows[cellRow[i]]
+	add := func(i int, p sweep.Point, c StepConfig) {
+		c.Scenario = resolveMode(c.Scenario, s.Mode, s.Metrics)
+		rows[i].Point, rows[i].Config = p, c
+		cells = append(cells, sweep.Cell[StepConfig]{Key: c.Fingerprint(), Label: p.Fingerprint(), Config: c})
+		cellRow = append(cellRow, i)
+	}
 	if len(s.Scenarios) > 0 {
 		rows = make([]SweepRow, len(s.Scenarios))
 		for i, sc := range s.Scenarios {
@@ -399,13 +356,8 @@ func (s SweepSpec) Run(onProgress func(sweep.Progress)) ([]SweepRow, error) {
 					return nil, fmt.Errorf("sweep: scenarios[%d]: %w", i, err)
 				}
 			}
-			n = s.resolveMode(n, s.Metrics)
 			p := scenarioPoint(n)
-			c := StepConfig{Name: p.Fingerprint(), Scenario: n}
-			rows[i].Point = p
-			rows[i].Config = c
-			cells = append(cells, sweep.Cell[StepConfig]{Key: c.Fingerprint(), Label: p.Fingerprint(), Config: c})
-			cellRow = append(cellRow, i)
+			add(i, p, StepConfig{Name: p.Fingerprint(), Scenario: n})
 		}
 	} else {
 		points, err := s.Grid().Expand()
@@ -420,10 +372,7 @@ func (s SweepSpec) Run(onProgress func(sweep.Progress)) ([]SweepRow, error) {
 				rows[i].SkipReason = err.Error()
 				continue
 			}
-			c.Scenario = s.resolveMode(c.Scenario, s.Metrics)
-			rows[i].Config = c
-			cells = append(cells, sweep.Cell[StepConfig]{Key: c.Fingerprint(), Label: p.Fingerprint(), Config: c})
-			cellRow = append(cellRow, i)
+			add(i, p, c)
 		}
 	}
 	if s.OnRow != nil {
@@ -433,107 +382,71 @@ func (s SweepSpec) Run(onProgress func(sweep.Progress)) ([]SweepRow, error) {
 			}
 		}
 	}
-	st, onErr := s.Store, s.OnStoreErr
-	if st == nil {
-		var attachedErr func(error)
-		st, attachedErr = processStore()
-		if onErr == nil {
-			onErr = attachedErr
-		}
-	}
-	var runnerMu sync.Mutex
+	rv := resolver{store: s.Store, onStoreErr: s.OnStoreErr, metrics: s.Metrics, onEstimate: s.OnEstimate, runner: s.Runner}
+	var errMu sync.Mutex
 	var runnerErr error
-	// bodySrc resolves one cold cell and reports how: "store-hit",
-	// "simulated", "remote" (Runner-resolved; spanned by the Runner's owner)
-	// or "error" (Runner failure; no span).
-	bodySrc := func(c StepConfig) (cluster.Result, string) {
-		return c.simulateViaSrcObs(st, onErr, s.Metrics, s.OnEstimate)
-	}
-	if s.Runner != nil {
-		bodySrc = func(c StepConfig) (cluster.Result, string) {
-			if c.Mode == scenario.ModeAnalytic {
-				// Analytic cells never travel: the estimate costs microseconds
-				// — less than the dispatch round-trip — so they resolve on the
-				// coordinator (store fast path included) and the fleet only
-				// sees cells that need real simulation.
-				return c.estimateViaSrc(st, onErr, s.Metrics, s.OnEstimate)
-			}
-			if st != nil {
-				if r, ok := st.Get(c.Fingerprint()); ok && r.Goodput > 0 {
-					if s.Metrics != nil {
-						s.Metrics.StoreHits.Add(1)
-					}
-					return r, "store-hit"
-				}
-			}
-			r, err := s.Runner(c)
-			if err != nil {
-				runnerMu.Lock()
-				if runnerErr == nil {
-					runnerErr = err
-				}
-				runnerMu.Unlock()
-				return cluster.Result{}, "error"
-			}
-			if s.Metrics != nil {
-				s.Metrics.Remote.Add(1)
-			}
-			return r, "remote"
-		}
-	}
-	body := func(c StepConfig) cluster.Result {
-		r, _ := bodySrc(c)
-		return r
-	}
+	// One trace lane per engine worker slot, recycled through a free-list so
+	// concurrent cells never share a lane. The lane name doubles as the owner
+	// attribution for locally resolved cells.
+	var lanes chan int
 	if s.Trace != nil {
-		// One trace lane per engine worker slot, recycled through a
-		// free-list so concurrent cells never share a lane. The lane name
-		// doubles as the owner attribution for locally resolved cells.
 		nlanes := s.Workers
 		if nlanes <= 0 {
 			nlanes = runtime.GOMAXPROCS(0)
 		}
-		lanes := make(chan int, nlanes)
+		lanes = make(chan int, nlanes)
 		for i := 0; i < nlanes; i++ {
 			lanes <- i
 		}
-		body = func(c StepConfig) cluster.Result {
-			lane := <-lanes
-			t0 := time.Now()
-			r, src := bodySrc(c)
-			end := time.Now()
-			lanes <- lane
-			if src == "store-hit" || src == "simulated" || src == "analytic" {
-				owner := "local-" + strconv.Itoa(lane)
-				s.Trace.Span(owner, c.Name, "cell", t0, end, map[string]string{
-					"owner": owner, "source": src, "key": c.Fingerprint(),
-				})
-			}
-			return r
-		}
 	}
-	run := func(c StepConfig) cluster.Result {
-		if s.Gate == nil {
-			return body(c)
+	run := func(c StepConfig) (r cluster.Result) {
+		body := func() {
+			var lane int
+			var t0 time.Time
+			if lanes != nil {
+				lane = <-lanes
+				t0 = time.Now()
+			}
+			var src string
+			var err error
+			r, src, err = rv.resolve(c)
+			if lanes != nil {
+				end := time.Now()
+				lanes <- lane
+				if err == nil && src != "remote" {
+					owner := "local-" + strconv.Itoa(lane)
+					s.Trace.Span(owner, c.Name, "cell", t0, end, map[string]string{
+						"owner": owner, "source": src, "key": c.Fingerprint(),
+					})
+				}
+			}
+			if err != nil {
+				errMu.Lock()
+				if runnerErr == nil {
+					runnerErr = err
+				}
+				errMu.Unlock()
+			}
 		}
-		var r cluster.Result
-		s.Gate(func() { r = body(c) })
+		if s.Gate != nil {
+			s.Gate(body)
+		} else {
+			body()
+		}
 		return r
 	}
 	cache := s.Cache
 	if cache == nil {
-		cache = stepCache
+		cache = sweep.NewCache[cluster.Result]()
 	}
 	var onResult func(int, cluster.Result, bool)
 	if s.OnRow != nil || s.Metrics != nil || s.Trace != nil {
 		onResult = func(ci int, r cluster.Result, cached bool) {
 			if cached {
-				if s.Metrics != nil {
-					s.Metrics.MemoHits.Add(1)
-				}
-				// Memo-settled cells never touched bodySrc: record their
-				// zero-duration span here so trace coverage stays exactly
-				// one span per cell.
+				s.Metrics.note("memo")
+				// Memo-settled cells never reached the resolver: record their
+				// zero-duration span here so trace coverage stays exactly one
+				// span per cell.
 				now := time.Now()
 				s.Trace.Span("memo", cells[ci].Label, "cell", now, now, map[string]string{
 					"owner": "memo", "source": "memo", "key": cells[ci].Key,
@@ -556,10 +469,7 @@ func (s SweepSpec) Run(onProgress func(sweep.Progress)) ([]SweepRow, error) {
 	for i, r := range results {
 		rows[cellRow[i]].Res = r
 	}
-	if runnerErr != nil {
-		return rows, runnerErr
-	}
-	return rows, nil
+	return rows, runnerErr
 }
 
 // SweepTable formats executed rows as the canonical result table: the axis

@@ -13,17 +13,13 @@ import (
 
 // testSpec is a small-but-real sweep: 24 cells at tiny rank counts so the
 // determinism and memoization properties are checked against the actual
-// simulator, not a stub. A fresh cache per spec forces cold execution (nil
-// would select the process-wide cache shared with the figure runners).
+// simulator, not a stub. A nil cache runs every Run cold.
 func testSpec(workers int, cache *sweep.Cache[cluster.Result]) SweepSpec {
 	s := DefaultSweepSpec()
 	s.Ranks = []int{32}
 	s.Steps = 2
 	s.Workers = workers
 	s.Cache = cache
-	if cache == nil {
-		s.Cache = sweep.NewCache[cluster.Result]()
-	}
 	return s
 }
 

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+
+	"repro/internal/fabric"
 )
 
 // Handler returns the server's HTTP API.
@@ -40,10 +42,7 @@ type apiError struct {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: "bad job spec: " + err.Error()})
+	if !fabric.DecodeJSON(w, r, &spec, "bad job spec: ") {
 		return
 	}
 	st, err := s.Submit(spec)
@@ -59,10 +58,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // spec — unknown objective, mode, platform, infeasible ladder — is 400.
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	var spec SearchJobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: "bad search spec: " + err.Error()})
+	if !fabric.DecodeJSON(w, r, &spec, "bad search spec: ") {
 		return
 	}
 	st, err := s.SubmitSearch(spec)

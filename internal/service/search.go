@@ -105,25 +105,18 @@ func (s *Server) SubmitSearch(spec SearchJobSpec) (JobStatus, error) {
 	return st, nil
 }
 
-// runSearchJob executes one search job. Probes resolve through the job-local
-// memo, the server's persistent store, then analytic estimation or exact
-// simulation (gated on the shared slot pool) — identical layering to sweep
-// cells, under identical fingerprints, so searches and sweeps share every
-// record. The final switch mirrors runJob: cancellation wins over failure
-// (a cancelled search surfaces search.ErrStopped from the driver, but the
-// user asked for cancel).
+// runSearchJob executes one started search job. Probes resolve through the
+// job-local memo, the server's persistent store, then analytic estimation or
+// exact simulation (gated on the shared slot pool) — identical layering to
+// sweep cells, under identical fingerprints, so searches and sweeps share
+// every record.
 func (s *Server) runSearchJob(j *job) {
-	if j.cancelled.Load() {
-		j.finalize(StateCancelled, nil)
-		return
-	}
-	j.start()
 	ss := j.search.searchSpec()
 	ss.Cache = sweep.NewCache[cluster.Result]()
 	ss.Store = s.st
 	ss.OnStoreErr = j.noteStoreErr
 	ss.Metrics = &j.metrics
-	ss.OnEstimate = func(d time.Duration) { s.met.estimateHist.Observe(d.Seconds()) }
+	ss.OnEstimate = s.observeEstimate
 	ss.Stop = j.cancelled.Load
 	// Probes run one at a time, so intra-probe shards are the only
 	// parallelism this job has: give each probe the whole pool unless the
@@ -131,17 +124,7 @@ func (s *Server) runSearchJob(j *job) {
 	if ss.SimWorkers <= 0 || ss.SimWorkers > s.cfg.Workers {
 		ss.SimWorkers = s.cfg.Workers
 	}
-	ss.Gate = func(run func()) {
-		if j.cancelled.Load() {
-			return // drain: the probe surfaces ErrStopped, nothing persists
-		}
-		s.slots <- struct{}{}
-		defer func() { <-s.slots }()
-		if j.cancelled.Load() {
-			return
-		}
-		run()
-	}
+	ss.Gate = s.gate(j, true)
 	ss.OnProbe = func(p search.Probe, src string, d time.Duration) {
 		if c := s.met.searchProbes[src]; c != nil {
 			c.Inc()
@@ -150,26 +133,10 @@ func (s *Server) runSearchJob(j *job) {
 		j.streamProbe(p, src)
 	}
 	f, err := ss.Run()
-	s.met.analyticCells.Add(j.metrics.Analytic.Load())
-	s.met.exactCells.Add(j.metrics.Simulated.Load())
-	s.met.escalations.Add(j.metrics.Escalated.Load())
-	switch {
-	case j.cancelled.Load():
-		j.finalize(StateCancelled, nil)
-		s.log.Info("search cancelled", "job", j.id)
-	case err != nil:
-		j.finalize(StateFailed, err)
-		s.log.Error("search failed", "job", j.id, "err", err)
-	default:
+	s.finish(j, err, func() {
 		j.noteFrontier(f)
 		s.met.frontierSize.Set(int64(len(f.Pareto)))
-		j.finalize(StateDone, nil)
-		s.log.Info("search done", "job", j.id,
-			"probes", f.Used, "frontier", len(f.Pareto),
-			"simulated", j.metrics.Simulated.Load(),
-			"analytic", j.metrics.Analytic.Load(),
-			"memo_hits", j.metrics.MemoHits.Load())
-	}
+	})
 }
 
 // streamProbe appends a settled probe to the job's event log.

@@ -280,6 +280,11 @@ func New(cfg Config) (*Server, error) {
 		go func() {
 			defer s.wg.Done()
 			for j := range s.queue {
+				if j.cancelled.Load() {
+					j.finalize(StateCancelled, nil)
+					continue
+				}
+				j.start()
 				if j.kind == KindSearch {
 					s.runSearchJob(j)
 				} else {
@@ -490,17 +495,12 @@ func (s *Server) CompactStore() (store.CompactStats, bool, error) {
 	return st, true, nil
 }
 
-// runJob executes one job on the shared pool. Cells resolve through three
-// layers: the job-local memo (singleflight within the job), the server's
-// persistent store (shared across jobs and restarts), and only then the
-// simulator — gated by the server-wide slot semaphore so concurrent jobs
-// cannot oversubscribe the machine.
+// runJob executes one started sweep job on the shared pool. Cells resolve
+// through three layers: the job-local memo (singleflight within the job),
+// the server's persistent store (shared across jobs and restarts), and only
+// then the simulator — gated by the server-wide slot semaphore so concurrent
+// jobs cannot oversubscribe the machine.
 func (s *Server) runJob(j *job) {
-	if j.cancelled.Load() {
-		j.finalize(StateCancelled, nil)
-		return
-	}
-	j.start()
 	sw := j.spec.sweepSpec()
 	sw.Cache = sweep.NewCache[cluster.Result]()
 	sw.Store = s.st
@@ -508,7 +508,8 @@ func (s *Server) runJob(j *job) {
 	sw.Metrics = &j.metrics
 	sw.Trace = j.trace
 	sw.Workers = j.spec.Workers
-	sw.OnEstimate = func(d time.Duration) { s.met.estimateHist.Observe(d.Seconds()) }
+	sw.OnEstimate = s.observeEstimate
+	sw.OnRow = j.streamRow
 	if s.coord != nil {
 		// Coordinator mode: store-miss cells are dispatched to the fleet, so
 		// engine "workers" are dispatch waiters, not simulations — size them
@@ -547,12 +548,7 @@ func (s *Server) runJob(j *job) {
 			})
 			return res, nil
 		}
-		sw.Gate = func(run func()) {
-			if j.cancelled.Load() {
-				return // drain: cell settles as a zero row, never persisted
-			}
-			run()
-		}
+		sw.Gate = s.gate(j, false)
 	} else {
 		if sw.Workers <= 0 || sw.Workers > s.cfg.Workers {
 			sw.Workers = s.cfg.Workers
@@ -582,38 +578,59 @@ func (s *Server) runJob(j *job) {
 				sw.Scenarios[i].SimWorkers = simLim
 			}
 		}
-		sw.Gate = func(run func()) {
-			if j.cancelled.Load() {
-				return // drain: cell settles as a zero row, never persisted
-			}
+		sw.Gate = s.gate(j, true)
+	}
+	_, err := sw.Run(nil)
+	s.finish(j, err, nil)
+}
+
+// gate returns the Gate j's cells run under: a cancelled job drains — the
+// cell is skipped, settles as a zero row that is never persisted or
+// streamed, and a search probe surfaces search.ErrStopped — and, when
+// pooled, each cell holds one of the server-wide simulation slots while it
+// runs.
+func (s *Server) gate(j *job, pooled bool) func(run func()) {
+	return func(run func()) {
+		if j.cancelled.Load() {
+			return
+		}
+		if pooled {
 			s.slots <- struct{}{}
 			defer func() { <-s.slots }()
 			if j.cancelled.Load() {
 				return
 			}
-			run()
 		}
+		run()
 	}
-	sw.OnRow = j.streamRow
-	_, err := sw.Run(nil)
-	// Fold the job's resolution counts into the server-lifetime series —
-	// whatever terminal state the job reached, these count work that
-	// actually happened.
+}
+
+// observeEstimate feeds the analytic-estimate latency histogram.
+func (s *Server) observeEstimate(d time.Duration) { s.met.estimateHist.Observe(d.Seconds()) }
+
+// finish folds a run job's resolution counts into the server-lifetime
+// series — whatever terminal state the job reached, these count work that
+// actually happened — and settles its terminal state. Cancellation wins over
+// failure: aborting remote dispatch or a search makes the run surface an
+// error, but the user asked for cancel. onDone, when non-nil, runs just
+// before a successful job's DoneEvent.
+func (s *Server) finish(j *job, err error, onDone func()) {
 	s.met.analyticCells.Add(j.metrics.Analytic.Load())
 	s.met.exactCells.Add(j.metrics.Simulated.Load())
 	s.met.escalations.Add(j.metrics.Escalated.Load())
 	switch {
 	case j.cancelled.Load():
-		// Cancellation wins over failure: aborting remote dispatch makes the
-		// runner surface a context error, but the user asked for cancel.
 		j.finalize(StateCancelled, nil)
-		s.log.Info("job cancelled", "job", j.id)
+		s.log.Info("job cancelled", "job", j.id, "kind", j.kind)
 	case err != nil:
 		j.finalize(StateFailed, err)
-		s.log.Error("job failed", "job", j.id, "err", err)
+		s.log.Error("job failed", "job", j.id, "kind", j.kind, "err", err)
 	default:
+		if onDone != nil {
+			onDone()
+		}
 		j.finalize(StateDone, nil)
-		s.log.Info("job done", "job", j.id,
+		s.log.Info("job done", "job", j.id, "kind", j.kind,
 			"simulated", j.metrics.Simulated.Load(),
 			"store_hits", j.metrics.StoreHits.Load(),
 			"memo_hits", j.metrics.MemoHits.Load(),

@@ -2,9 +2,12 @@ package service
 
 import (
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/fabric"
 )
 
 // tinyJob is a 4-cell sweep (DAP {1,2} × ablation {none, zero-launch}) at
@@ -188,6 +191,36 @@ func TestSubmitRejectsBadSpec(t *testing.T) {
 	neg.Seeds = -1
 	if _, err := c.Submit(neg); err == nil || !strings.Contains(err.Error(), "HTTP 400") {
 		t.Fatalf("negative seeds must yield HTTP 400, got %v", err)
+	}
+}
+
+// TestOversizedBodiesAre413 pins the body bound on every POST decoder — job
+// and search submission and the fleet protocol — and that refusing one
+// oversized body leaves the server serving.
+func TestOversizedBodiesAre413(t *testing.T) {
+	_, c, stop := newTestServer(t, Config{Workers: 1, Fabric: &fabric.Config{}})
+	defer stop()
+	huge := `{"name":"` + strings.Repeat("x", fabric.MaxBodyBytes) + `"}`
+	for _, path := range []string{"/v1/jobs", "/v1/search", "/v1/workers/complete"} {
+		resp, err := http.Post(c.Base+path, "application/json", strings.NewReader(huge))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body apiError
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || err != nil || body.Error == "" {
+			t.Fatalf("POST %s with an oversized body = HTTP %d (%v, %+v); want a JSON 413", path, resp.StatusCode, err, body)
+		}
+	}
+	job := tinyJob()
+	job.Mode = "analytic" // resolves on the coordinator: no fleet needed
+	st, err := c.Submit(job)
+	if err != nil {
+		t.Fatalf("valid submit after refused bodies: %v", err)
+	}
+	if _, done := collectRows(t, c, st.ID); done.State != StateDone {
+		t.Fatalf("job after refused bodies ended %q, want done", done.State)
 	}
 }
 

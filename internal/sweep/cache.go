@@ -72,25 +72,3 @@ func (c *Cache[R]) Keys() []string {
 	sort.Strings(keys)
 	return keys
 }
-
-// Entry is one settled cache entry, as returned by Snapshot.
-type Entry[R any] struct {
-	Key   string
-	Value R
-}
-
-// Snapshot returns every settled entry in sorted key order — the hook a
-// persistent store uses to drain the in-memory memo. Like Keys, in-flight
-// entries are excluded.
-func (c *Cache[R]) Snapshot() []Entry[R] {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]Entry[R], 0, len(c.m))
-	for k, e := range c.m {
-		if e.done.Load() {
-			out = append(out, Entry[R]{Key: k, Value: e.val})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
-}

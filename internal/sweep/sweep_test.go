@@ -225,13 +225,13 @@ func TestEmitters(t *testing.T) {
 	}
 }
 
-func TestCacheKeysAndSnapshotSortedSettledOnly(t *testing.T) {
+func TestCacheKeysSortedSettledOnly(t *testing.T) {
 	cache := NewCache[int]()
 	for i, k := range []string{"zulu", "alpha", "mike"} {
 		cache.Do(k, func() int { return i * 10 })
 	}
-	// An in-flight entry must appear in neither Keys nor Snapshot: its value
-	// cannot be read yet. Park a computation on a channel to pin it.
+	// An in-flight entry must not appear in Keys: its value cannot be read
+	// yet. Park a computation on a channel to pin it.
 	started := make(chan struct{})
 	release := make(chan struct{})
 	go cache.Do("inflight", func() int { close(started); <-release; return 99 })
@@ -240,16 +240,6 @@ func TestCacheKeysAndSnapshotSortedSettledOnly(t *testing.T) {
 	wantKeys := []string{"alpha", "mike", "zulu"}
 	if got := cache.Keys(); !reflect.DeepEqual(got, wantKeys) {
 		t.Fatalf("Keys = %v, want %v (sorted, settled only)", got, wantKeys)
-	}
-	snap := cache.Snapshot()
-	if len(snap) != 3 {
-		t.Fatalf("Snapshot has %d entries, want 3", len(snap))
-	}
-	want := map[string]int{"zulu": 0, "alpha": 10, "mike": 20}
-	for i, e := range snap {
-		if e.Key != wantKeys[i] || e.Value != want[e.Key] {
-			t.Fatalf("Snapshot[%d] = %+v, want key %q value %d", i, e, wantKeys[i], want[wantKeys[i]])
-		}
 	}
 	if cache.Len() != 4 {
 		t.Fatalf("Len = %d, want 4 (in-flight entries count)", cache.Len())

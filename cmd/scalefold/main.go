@@ -53,7 +53,6 @@ import (
 	"repro/internal/service"
 	"repro/internal/store"
 	"repro/internal/sweep"
-	"repro/internal/workload"
 )
 
 // runners maps figure subcommands to their printers; allRunners is their
@@ -116,12 +115,7 @@ func main() {
 		args = os.Args[2:]
 	}
 	fs.Parse(args)
-	if *storeDir != "" {
-		ds, err := store.OpenDisk[cluster.Result](*storeDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", cmd, err)
-			os.Exit(2)
-		}
+	if ds := openStore(cmd, *storeDir); ds != nil {
 		defer func() {
 			scalefold.AttachStore(nil, nil)
 			ds.Close()
@@ -300,23 +294,6 @@ func (a *axisFlags) jobSpec(cmd string) service.JobSpec {
 	}
 }
 
-func (a *axisFlags) sweepSpec(cmd string) scalefold.SweepSpec {
-	return scalefold.SweepSpec{
-		Profile:    *a.profile,
-		Arches:     sweep.ParseList(*a.arch),
-		Ranks:      parseIntList(cmd, "ranks", *a.ranks),
-		DAPs:       parseIntList(cmd, "dap", *a.dap),
-		Ablations:  sweep.ParseList(*a.ablate),
-		Seeds:      *a.seeds,
-		Steps:      *a.steps,
-		Workers:    *a.workers,
-		SimWorkers: *a.simWorkers,
-		Perturb:    parsePerturb(cmd, *a.perturb),
-		Mode:       parseMode(cmd, *a.mode),
-		Scenarios:  a.scenarioList(cmd),
-	}
-}
-
 func sweepCmd(args []string) {
 	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
 	axes := addAxisFlags(fs)
@@ -332,32 +309,17 @@ future sweeps, jobs and figure runs`)
 		os.Exit(2)
 	}
 
-	spec := axes.sweepSpec("sweep")
-	if *storeDir != "" {
-		ds, err := store.OpenDisk[cluster.Result](*storeDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-			os.Exit(2)
-		}
+	// The same lowering a server applies to `submit`'s JobSpec.
+	spec := axes.jobSpec("sweep").SweepSpec()
+	if ds := openStore("sweep", *storeDir); ds != nil {
 		defer ds.Close()
 		spec.Store = ds
 		spec.OnStoreErr = func(err error) { fmt.Fprintf(os.Stderr, "sweep: store: %v\n", err) }
 	}
-	var progress func(sweep.Progress)
-	if !*quiet {
-		progress = func(ev sweep.Progress) {
-			note := ""
-			if ev.Cached {
-				note = " (memoized)"
-			}
-			fmt.Fprintf(os.Stderr, "[%3d/%3d] %s%s (%v)\n",
-				ev.Done, ev.Total, ev.Label, note, ev.Elapsed.Round(time.Millisecond))
-		}
-	}
 	var met scalefold.SweepMetrics
 	spec.Metrics = &met
 	t0 := time.Now()
-	rows, err := spec.Run(progress)
+	rows, err := spec.Run(progress(*quiet))
 	if err != nil {
 		// Grid errors already carry the "sweep:" package prefix.
 		fmt.Fprintf(os.Stderr, "%v\n", err)
@@ -372,27 +334,63 @@ future sweeps, jobs and figure runs`)
 		}
 	}
 	tab := scalefold.SweepTable(rows)
-	emit := func(path, kind string, write func(*os.File) error) {
+	emit := func(path, kind string, write func(io.Writer) error) {
 		if path == "" {
 			return
 		}
-		out := os.Stdout
-		if path != "-" {
-			f, err := os.Create(path)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-				os.Exit(2)
-			}
-			defer f.Close()
-			out = f
-		}
-		if err := write(out); err != nil {
+		if err := writeOutput("sweep", path, write); err != nil {
 			fmt.Fprintf(os.Stderr, "sweep: writing %s: %v\n", kind, err)
 			os.Exit(2)
 		}
 	}
-	emit(*csvPath, "csv", func(f *os.File) error { return tab.WriteCSV(f) })
-	emit(*jsonPath, "json", func(f *os.File) error { return tab.WriteJSON(f) })
+	emit(*csvPath, "csv", tab.WriteCSV)
+	emit(*jsonPath, "json", tab.WriteJSON)
+}
+
+// openStore opens cmd's -store directory, exiting 2 if it cannot. An empty
+// dir opens nothing and returns nil.
+func openStore(cmd, dir string) *store.Disk[cluster.Result] {
+	if dir == "" {
+		return nil
+	}
+	ds, err := store.OpenDisk[cluster.Result](dir)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", cmd, err)
+		os.Exit(2)
+	}
+	return ds
+}
+
+// writeOutput runs write against cmd's destination: stdout for "-", else a
+// new file at path (exit 2 if it cannot be created). It returns write's
+// error for the caller to report.
+func writeOutput(cmd, path string, write func(io.Writer) error) error {
+	if path == "-" {
+		return write(os.Stdout)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", cmd, err)
+		os.Exit(2)
+	}
+	defer f.Close()
+	return write(f)
+}
+
+// progress is the streaming progress printer of `sweep` and `resilience`:
+// one stderr line per settled cell, or nil when quiet.
+func progress(quiet bool) func(sweep.Progress) {
+	if quiet {
+		return nil
+	}
+	return func(ev sweep.Progress) {
+		note := ""
+		if ev.Cached {
+			note = " (memoized)"
+		}
+		fmt.Fprintf(os.Stderr, "[%3d/%3d] %s%s (%v)\n",
+			ev.Done, ev.Total, ev.Label, note, ev.Elapsed.Round(time.Millisecond))
+	}
 }
 
 // newLogger maps a -log-level flag value to a structured text logger on
@@ -506,30 +504,14 @@ bounds straddle the resilience cliff`)
 		SimWorkers:  *simWorkers,
 		Mode:        parseMode("resilience", *modeFlag),
 	}
-	if *storeDir != "" {
-		ds, err := store.OpenDisk[cluster.Result](*storeDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "resilience: %v\n", err)
-			os.Exit(2)
-		}
+	if ds := openStore("resilience", *storeDir); ds != nil {
 		defer ds.Close()
 		spec.Store = ds
-	}
-	var progress func(sweep.Progress)
-	if !*quiet {
-		progress = func(ev sweep.Progress) {
-			note := ""
-			if ev.Cached {
-				note = " (memoized)"
-			}
-			fmt.Fprintf(os.Stderr, "[%3d/%3d] %s%s (%v)\n",
-				ev.Done, ev.Total, ev.Label, note, ev.Elapsed.Round(time.Millisecond))
-		}
 	}
 	var met scalefold.SweepMetrics
 	spec.Metrics = &met
 	t0 := time.Now()
-	rows, err := spec.Run(progress)
+	rows, err := spec.Run(progress(*quiet))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%v\n", err)
 		os.Exit(2)
@@ -540,17 +522,7 @@ bounds straddle the resilience cliff`)
 	if *csvPath == "" {
 		return
 	}
-	out := os.Stdout
-	if *csvPath != "-" {
-		f, err := os.Create(*csvPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "resilience: %v\n", err)
-			os.Exit(2)
-		}
-		defer f.Close()
-		out = f
-	}
-	if err := scalefold.ResilienceTable(spec, rows).WriteCSV(out); err != nil {
+	if err := writeOutput("resilience", *csvPath, scalefold.ResilienceTable(spec, rows).WriteCSV); err != nil {
 		fmt.Fprintf(os.Stderr, "resilience: writing csv: %v\n", err)
 		os.Exit(2)
 	}
@@ -783,18 +755,9 @@ func traceCmd(args []string) {
 		fmt.Fprintln(os.Stderr, "trace: pass a job ID (-job job-000001, or as the first argument)")
 		os.Exit(2)
 	}
-	w := os.Stdout
-	if *out != "-" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-			os.Exit(2)
-		}
-		defer f.Close()
-		w = f
-	}
 	client := &service.Client{Base: *server}
-	if err := client.Trace(*jobID, w); err != nil {
+	err := writeOutput("trace", *out, func(w io.Writer) error { return client.Trace(*jobID, w) })
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "trace: %v\n", err)
 		os.Exit(2)
 	}
@@ -1003,5 +966,4 @@ func fig11() {
 	for _, p := range sched.Curve(5000, 55000) {
 		fmt.Printf("  step %6d  GBS %3d  avg_lddt_ca %.3f %s\n", p.Step, p.GBS, p.LDDT, stars(int(40*p.LDDT)))
 	}
-	_ = workload.Baseline() // keep the census import alive for doc links
 }

@@ -7,12 +7,10 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/scalefold"
 	"repro/internal/scenario"
 	"repro/internal/search"
 	"repro/internal/service"
-	"repro/internal/store"
 )
 
 // optimizeCmd is the adaptive-search front end: instead of enumerating a
@@ -50,28 +48,11 @@ POST /v1/search job instead of running in-process`)
 	quiet := fs.Bool("quiet", false, "suppress streaming probe progress on stderr")
 	fs.Parse(args)
 
-	if *server != "" {
-		remoteOptimize(*server, service.SearchJobSpec{
-			Objective:    *objective,
-			Arch:         *arch,
-			Ranks:        parseIntList("optimize", "ranks", *ranks),
-			DAPs:         parseIntList("optimize", "dap", *daps),
-			FailLo:       *failLo,
-			FailHi:       *failHi,
-			RestartCost:  *restartCost,
-			CliffGoodput: *cliffGoodput,
-			Tolerance:    *tolerance,
-			Budget:       *budget,
-			Steps:        *steps,
-			Mode:         parseMode("optimize", *modeFlag),
-			SimWorkers:   *simWorkers,
-		}, *quiet)
-		return
-	}
-
-	spec := scalefold.SearchSpec{
+	// One spec: `-server` sends it as is, a local run lowers it the way the
+	// server does.
+	js := service.SearchJobSpec{
 		Objective:    *objective,
-		Platform:     *arch,
+		Arch:         *arch,
 		Ranks:        parseIntList("optimize", "ranks", *ranks),
 		DAPs:         parseIntList("optimize", "dap", *daps),
 		FailLo:       *failLo,
@@ -84,12 +65,13 @@ POST /v1/search job instead of running in-process`)
 		Mode:         parseMode("optimize", *modeFlag),
 		SimWorkers:   *simWorkers,
 	}
-	if *storeDir != "" {
-		ds, err := store.OpenDisk[cluster.Result](*storeDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "optimize: %v\n", err)
-			os.Exit(2)
-		}
+	if *server != "" {
+		remoteOptimize(*server, js, *quiet)
+		return
+	}
+
+	spec := js.SearchSpec()
+	if ds := openStore("optimize", *storeDir); ds != nil {
 		defer ds.Close()
 		spec.Store = ds
 	}

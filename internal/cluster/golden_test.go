@@ -13,7 +13,7 @@ import (
 	"repro/internal/perturb"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/simulate_golden.txt")
+var update = flag.Bool("update", false, "rewrite the goldens under testdata/")
 
 // goldenPerturb exercises every perturbation stream draw: the straggler
 // draw at stream creation, Poisson stalls with exponential lengths, and

@@ -4,28 +4,19 @@ import (
 	"encoding/json"
 	"io"
 	"time"
-)
 
-// TraceEvent is one span in the exported step timeline, in the Chrome
-// trace-event format ("ph":"X" complete events) so a simulated step can be
-// inspected in chrome://tracing or Perfetto the way the authors inspected
-// their Nsight timelines.
-type TraceEvent struct {
-	Name string  `json:"name"`
-	Cat  string  `json:"cat"`
-	Ph   string  `json:"ph"`
-	TS   float64 `json:"ts"`  // microseconds
-	Dur  float64 `json:"dur"` // microseconds
-	PID  int     `json:"pid"` // rank
-	TID  int     `json:"tid"` // 0 = GPU stream, 1 = CPU launch thread
-}
+	"repro/internal/obs"
+)
 
 // Timeline is a renderable reconstruction of one simulated step on one
 // representative rank, built from a Result's breakdown. It is a summary
 // view (per-phase spans), not a kernel-by-kernel record — the census has
-// ~150k kernels per step.
+// ~150k kernels per step. Its events are Chrome trace-event "ph":"X" spans
+// (PID = rank; TID 0 = GPU stream, 1 = CPU launch thread), so a simulated
+// step opens in chrome://tracing or Perfetto the way the authors inspected
+// their Nsight timelines, next to a job's fabric-level trace.
 type Timeline struct {
-	Events []TraceEvent
+	Events []obs.TraceEvent
 }
 
 // BuildTimeline lays out the mean step of a simulation result as spans:
@@ -39,7 +30,7 @@ func BuildTimeline(r Result, rank int) Timeline {
 			return
 		}
 		us := float64(d) / float64(time.Microsecond)
-		tl.Events = append(tl.Events, TraceEvent{
+		tl.Events = append(tl.Events, obs.TraceEvent{
 			Name: name, Cat: cat, Ph: "X",
 			TS: cursor, Dur: us, PID: rank, TID: tid,
 		})
@@ -57,6 +48,8 @@ func BuildTimeline(r Result, rank int) Timeline {
 }
 
 // WriteChromeTrace serializes the timeline as a Chrome trace JSON array.
+// BuildTimeline never emits an empty category or a zero duration, so no
+// omitempty field of obs.TraceEvent drops out of a span.
 func (t Timeline) WriteChromeTrace(w io.Writer) error {
 	return json.NewEncoder(w).Encode(t.Events)
 }

@@ -3,6 +3,8 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -66,5 +68,36 @@ func TestTimelineTotalZeroForEmpty(t *testing.T) {
 	var tl Timeline
 	if tl.Total() != time.Duration(0) {
 		t.Fatal("empty timeline total must be zero")
+	}
+}
+
+// TestWriteChromeTraceGolden pins WriteChromeTrace byte for byte: the JSON a
+// simulated step's timeline exports, clean and perturbed, on two ranks.
+func TestWriteChromeTraceGolden(t *testing.T) {
+	path := filepath.Join("testdata", "chrome_trace_golden.json")
+	var got bytes.Buffer
+	for _, perturbed := range []bool{false, true} {
+		o := quickOpts(7)
+		if perturbed {
+			o.Perturb = goldenPerturb
+		}
+		for _, rank := range []int{0, 3} {
+			if err := BuildTimeline(Simulate(baselineProg(), 16, 4, o), rank).WriteChromeTrace(&got); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if *update {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (generate with -update): %v", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("Chrome trace drifted from %s.\n--- want ---\n%s\n--- got ---\n%s", path, want, got.Bytes())
 	}
 }

@@ -165,8 +165,8 @@ func NewCoordinator(cfg Config, st store.Store[cluster.Result]) *Coordinator {
 }
 
 // Close fails every outstanding task and dispatch with ErrClosed, forgets
-// the fleet and stops the expiry loop. Safe to call once; later Execute,
-// Claim and Complete calls are refused.
+// the fleet and stops the expiry loop. Safe to call once; later ExecuteReport,
+// Claim and CompleteCell calls are refused.
 func (c *Coordinator) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -328,12 +328,6 @@ func (c *Coordinator) homeLocked(key string) string {
 	return best
 }
 
-// Complete settles one claimed cell; see CompleteCell for the semantics.
-// It keeps the pre-observability signature for callers without timing data.
-func (c *Coordinator) Complete(workerID, key string, res cluster.Result, workerErr string) CompleteResponse {
-	return c.CompleteCell(CompleteRequest{WorkerID: workerID, Key: key, Result: res, Err: workerErr})
-}
-
 // CompleteCell settles one claimed cell from its full wire request, including
 // the worker-reported execution timing and source that feed the job trace.
 // Rejections are idempotent and mutate nothing: an unknown or expired worker
@@ -457,19 +451,13 @@ func (c *Coordinator) expireLocked(now time.Time) {
 	}
 }
 
-// Execute dispatches one cell to the worker fleet and blocks until a worker
-// settles it, the retry budget is exhausted, the coordinator closes, or ctx
-// is cancelled. Concurrent Executes of the same fingerprint share one task
-// (fabric-level singleflight), and a cell already in the shared store is
-// served without dispatch.
-func (c *Coordinator) Execute(ctx context.Context, cfg scalefold.StepConfig) (cluster.Result, error) {
-	res, _, err := c.ExecuteReport(ctx, cfg)
-	return res, err
-}
-
-// ExecuteReport is Execute plus the cell's lifecycle report: who settled it,
-// how, and when each stage happened — the data a job trace renders as spans.
-// The report is meaningful only when err is nil.
+// ExecuteReport dispatches one cell to the worker fleet and blocks until a
+// worker settles it, the retry budget is exhausted, the coordinator closes,
+// or ctx is cancelled. Concurrent calls for the same fingerprint share one
+// task (fabric-level singleflight), and a cell already in the shared store is
+// served without dispatch. Besides the result it reports the cell's
+// lifecycle: who settled it, how, and when each stage happened — the data a
+// job trace renders as spans. The report is meaningful only when err is nil.
 func (c *Coordinator) ExecuteReport(ctx context.Context, cfg scalefold.StepConfig) (cluster.Result, CellReport, error) {
 	key := cfg.Fingerprint()
 	if r, ok := scalefold.Stored(c.st, key); ok {

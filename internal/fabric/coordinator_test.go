@@ -51,7 +51,7 @@ func execute(c *Coordinator, ctx context.Context, cfg scalefold.StepConfig) <-ch
 		err error
 	}, 1)
 	go func() {
-		r, err := c.Execute(ctx, cfg)
+		r, _, err := c.ExecuteReport(ctx, cfg)
 		ch <- struct {
 			res cluster.Result
 			err error
@@ -94,7 +94,7 @@ func TestCoordinatorSingleflightAndStoreFastPath(t *testing.T) {
 	if cells[0].Key != cfg.Fingerprint() {
 		t.Fatalf("claimed key %q, want %q", cells[0].Key, cfg.Fingerprint())
 	}
-	if resp := c.Complete(reg.WorkerID, cells[0].Key, want, ""); !resp.Accepted {
+	if resp := c.CompleteCell(CompleteRequest{WorkerID: reg.WorkerID, Key: cells[0].Key, Result: want}); !resp.Accepted {
 		t.Fatalf("Complete rejected: %+v", resp)
 	}
 	for _, ch := range []<-chan struct {
@@ -134,7 +134,7 @@ func TestCoordinatorRetryBudgetExhaustion(t *testing.T) {
 		if err != nil || len(cells) != 1 {
 			t.Fatalf("attempt %d: Claim = %v, %v", attempt, cells, err)
 		}
-		resp := c.Complete(reg.WorkerID, cells[0].Key, cluster.Result{}, "boom")
+		resp := c.CompleteCell(CompleteRequest{WorkerID: reg.WorkerID, Key: cells[0].Key, Result: cluster.Result{}, Err: "boom"})
 		if !resp.Accepted {
 			t.Fatalf("attempt %d: worker-error complete must be accepted (as a requeue): %+v", attempt, resp)
 		}
@@ -186,13 +186,13 @@ func TestCoordinatorExpiryReassignsAndRejectsLateCompletes(t *testing.T) {
 
 	// The dead worker's late complete is rejected idempotently: twice the
 	// same answer, nothing mutated.
-	r1 := c.Complete(w1.WorkerID, key, cluster.Result{Goodput: 9}, "")
-	r2 := c.Complete(w1.WorkerID, key, cluster.Result{Goodput: 9}, "")
+	r1 := c.CompleteCell(CompleteRequest{WorkerID: w1.WorkerID, Key: key, Result: cluster.Result{Goodput: 9}})
+	r2 := c.CompleteCell(CompleteRequest{WorkerID: w1.WorkerID, Key: key, Result: cluster.Result{Goodput: 9}})
 	if r1.Accepted || r2.Accepted || r1 != r2 {
 		t.Fatalf("late completes = %+v / %+v; want identical rejections", r1, r2)
 	}
 
-	if resp := c.Complete(w2.WorkerID, key, want, ""); !resp.Accepted {
+	if resp := c.CompleteCell(CompleteRequest{WorkerID: w2.WorkerID, Key: key, Result: want}); !resp.Accepted {
 		t.Fatalf("successor complete rejected: %+v", resp)
 	}
 	if out := <-outc; out.err != nil || out.res != want {
@@ -200,7 +200,7 @@ func TestCoordinatorExpiryReassignsAndRejectsLateCompletes(t *testing.T) {
 	}
 	// After settlement the same stale complete flips to "already settled" —
 	// still rejected, still mutating nothing.
-	if resp := c.Complete(w2.WorkerID, key, want, ""); resp.Accepted {
+	if resp := c.CompleteCell(CompleteRequest{WorkerID: w2.WorkerID, Key: key, Result: want}); resp.Accepted {
 		t.Fatalf("post-settle complete must be rejected: %+v", resp)
 	}
 	if fs := c.Fleet(); fs.Rejected != 3 || fs.Completed != 1 {

@@ -304,8 +304,8 @@ func TestFabricStalledWorkerExpiresAndLateCompletesRejected(t *testing.T) {
 		t.Fatalf("shared store holds %d keys, want %d", len(keys), unique)
 	}
 	res, _ := fl.Shared.Get(keys[0])
-	r1 := coord.Complete(deadID, keys[0], res, "")
-	r2 := coord.Complete(deadID, keys[0], res, "")
+	r1 := coord.CompleteCell(fabric.CompleteRequest{WorkerID: deadID, Key: keys[0], Result: res})
+	r2 := coord.CompleteCell(fabric.CompleteRequest{WorkerID: deadID, Key: keys[0], Result: res})
 	if r1.Accepted || r2.Accepted || r1 != r2 {
 		t.Fatalf("late completes = %+v / %+v; want identical rejections", r1, r2)
 	}

@@ -2,12 +2,12 @@ package fabric
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"time"
 
 	"repro/internal/obs"
@@ -98,17 +98,25 @@ func (c *Coordinator) Mount(mux *http.ServeMux) {
 const MaxBodyBytes = 4 << 20
 
 // DecodeJSON is the decoder behind every POST route the server mounts: it
-// strictly decodes a body of at most MaxBodyBytes into v, answering a JSON
-// 413 for an oversized body and a JSON 400 (its message prefixed by what)
-// for any other decode failure. It reports whether v was decoded.
+// strictly decodes a body of at most MaxBodyBytes, holding exactly one JSON
+// value, into v, answering a JSON 413 for an oversized body and a JSON 400
+// (its message prefixed by what) for any other decode failure, trailing data
+// included. It reports whether v was decoded.
 func DecodeJSON(w http.ResponseWriter, r *http.Request, v any, what string) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	err := dec.Decode(v)
 	var tooBig *http.MaxBytesError
+	if err == nil {
+		// One value per body: anything after it but whitespace is refused.
+		if _, err = dec.Token(); err == io.EOF {
+			return true
+		}
+		if !errors.As(err, &tooBig) {
+			err = errors.New("unexpected data after the JSON value")
+		}
+	}
 	switch {
-	case err == nil:
-		return true
 	case errors.As(err, &tooBig):
 		writeFabricJSON(w, http.StatusRequestEntityTooLarge, map[string]string{"error": err.Error()})
 	default:
@@ -134,37 +142,76 @@ func writeFabricJSON(w http.ResponseWriter, code int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// rpc is the worker-side call helper: POST JSON, decode JSON, lift the error
-// envelope. A 410 maps back to ErrUnknownWorker so the worker loop can
-// re-register instead of treating it as a transport failure.
-func rpc[T any](hc *http.Client, base, path string, req any, out *T) error {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return fmt.Errorf("fabric: %w", err)
+// StatusError is a non-2xx reply from a /v1 endpoint, as Call reports it:
+// the HTTP status plus the server's error-envelope message, or the raw body
+// when it carries no envelope, or the failure that cut the body short.
+type StatusError struct {
+	Code    int
+	Message string // the envelope's "error" field; "" when absent
+	Body    string // the trimmed body, when it carries no envelope
+	ReadErr error  // non-nil when the body could not be read whole
+}
+
+func (e *StatusError) Error() string {
+	switch {
+	case e.ReadErr != nil:
+		// A truncated error body must not masquerade as an empty one.
+		return fmt.Sprintf("HTTP %d: body unreadable: %v", e.Code, e.ReadErr)
+	case e.Message != "":
+		return fmt.Sprintf("%s (HTTP %d)", e.Message, e.Code)
 	}
-	resp, err := hc.Post(strings.TrimRight(base, "/")+path, "application/json", bytes.NewReader(body))
+	return fmt.Sprintf("HTTP %d: %s", e.Code, e.Body)
+}
+
+// Call is the client side of every /v1 request — service.Client's methods
+// and the fabric worker's RPCs alike. It sends method to url through hc (nil
+// = http.DefaultClient) under ctx, with req, when non-nil, as the JSON body.
+// A non-2xx reply becomes a *StatusError. On a 2xx reply Call decodes the
+// body into out and closes it, or, with out nil, returns the response with
+// its body open for the caller to read and close.
+func Call(ctx context.Context, hc *http.Client, method, url string, req, out any) (*http.Response, error) {
+	var body io.Reader
+	if req != nil {
+		data, err := json.Marshal(req)
+		if err != nil {
+			return nil, err
+		}
+		body = bytes.NewReader(data)
+	}
+	hreq, err := http.NewRequestWithContext(ctx, method, url, body)
 	if err != nil {
-		return fmt.Errorf("fabric: %w", err)
+		return nil, err
+	}
+	if body != nil {
+		hreq.Header.Set("Content-Type", "application/json")
+	}
+	if hc == nil {
+		hc = http.DefaultClient
+	}
+	resp, err := hc.Do(hreq)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode/100 == 2 && out == nil {
+		return resp, nil
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return fmt.Errorf("fabric: reading response: %w", err)
-	}
-	if resp.StatusCode == http.StatusGone {
-		return ErrUnknownWorker
-	}
 	if resp.StatusCode/100 != 2 {
+		se := &StatusError{Code: resp.StatusCode, Body: string(bytes.TrimSpace(data)), ReadErr: err}
 		var envelope struct {
 			Error string `json:"error"`
 		}
-		if json.Unmarshal(data, &envelope) == nil && envelope.Error != "" {
-			return fmt.Errorf("fabric: %s (HTTP %d)", envelope.Error, resp.StatusCode)
+		if json.Unmarshal(data, &envelope) == nil {
+			se.Message = envelope.Error
 		}
-		return fmt.Errorf("fabric: HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(data))
+		return nil, se
+	}
+	if err != nil {
+		return nil, fmt.Errorf("reading response: %w", err)
 	}
 	if err := json.Unmarshal(data, out); err != nil {
-		return fmt.Errorf("fabric: decoding response: %w", err)
+		return nil, fmt.Errorf("decoding response: %w", err)
 	}
-	return nil
+	return resp, nil
 }

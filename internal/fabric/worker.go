@@ -3,8 +3,10 @@ package fabric
 import (
 	"context"
 	"errors"
+	"fmt"
 	"log/slog"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -83,11 +85,19 @@ func (w *Worker) Rejected() int64 { return w.rejected.Load() }
 // declared lost and must re-register (the claim loop does so automatically).
 func (w *Worker) SetHeartbeatsPaused(paused bool) { w.hbPaused.Store(paused) }
 
-func (w *Worker) http() *http.Client {
-	if w.HTTP != nil {
-		return w.HTTP
+// rpc is the worker-side call: POST req to the coordinator under ctx and
+// decode the reply into out. A 410 maps back to ErrUnknownWorker so the
+// worker loop can re-register instead of treating it as a transport failure.
+func (w *Worker) rpc(ctx context.Context, path string, req, out any) error {
+	_, err := Call(ctx, w.HTTP, http.MethodPost, strings.TrimRight(w.Base, "/")+path, req, out)
+	var se *StatusError
+	switch {
+	case errors.As(err, &se) && se.Code == http.StatusGone:
+		return ErrUnknownWorker
+	case err != nil:
+		return fmt.Errorf("fabric: %w", err)
 	}
-	return http.DefaultClient
+	return nil
 }
 
 func (w *Worker) poll() time.Duration {
@@ -120,7 +130,7 @@ func sleep(ctx context.Context, d time.Duration) bool {
 func (w *Worker) register(ctx context.Context) (RegisterResponse, error) {
 	for {
 		var resp RegisterResponse
-		err := rpc(w.http(), w.Base, "/v1/workers/register", RegisterRequest{Name: w.Name}, &resp)
+		err := w.rpc(ctx, "/v1/workers/register", RegisterRequest{Name: w.Name}, &resp)
 		if err == nil {
 			w.mu.Lock()
 			w.id = resp.WorkerID
@@ -152,7 +162,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			return nil
 		}
 		var resp ClaimResponse
-		err := rpc(w.http(), w.Base, "/v1/workers/claim", ClaimRequest{WorkerID: w.ID(), Max: reg.BatchSize}, &resp)
+		err := w.rpc(ctx, "/v1/workers/claim", ClaimRequest{WorkerID: w.ID(), Max: reg.BatchSize}, &resp)
 		switch {
 		case errors.Is(err, ErrUnknownWorker):
 			w.logger().Info("fabric worker re-registering: coordinator forgot us",
@@ -186,7 +196,7 @@ func (w *Worker) Run(ctx context.Context) error {
 				// coordinator's loss detection requeues the cells.
 				return nil
 			}
-			w.executeCell(cell)
+			w.executeCell(ctx, cell)
 		}
 	}
 }
@@ -194,7 +204,7 @@ func (w *Worker) Run(ctx context.Context) error {
 // executeCell runs one claimed cell and reports its outcome, including the
 // measured execution time and how the cell was satisfied (shared-store hit
 // vs simulation) so the coordinator's job trace carries true fleet timings.
-func (w *Worker) executeCell(cell Cell) {
+func (w *Worker) executeCell(ctx context.Context, cell Cell) {
 	cfg := scalefold.StepConfig{Name: cell.Name, Scenario: cell.Scenario}
 	req := CompleteRequest{WorkerID: w.ID(), Key: cell.Key}
 	if got := cfg.Fingerprint(); got != cell.Key {
@@ -207,7 +217,7 @@ func (w *Worker) executeCell(cell Cell) {
 		req.ElapsedMillis = float64(time.Since(t0)) / float64(time.Millisecond)
 	}
 	var resp CompleteResponse
-	if err := rpc(w.http(), w.Base, "/v1/workers/complete", req, &resp); err != nil {
+	if err := w.rpc(ctx, "/v1/workers/complete", req, &resp); err != nil {
 		// Coordinator gone or transport down; loss detection requeues.
 		w.logger().Warn("fabric complete failed, abandoning cell to loss detection",
 			"worker", w.ID(), "cell", cell.Key, "err", err)
@@ -241,7 +251,7 @@ func (w *Worker) heartbeatLoop(ctx context.Context, interval time.Duration) {
 				continue
 			}
 			var resp HeartbeatResponse
-			rpc(w.http(), w.Base, "/v1/workers/heartbeat", HeartbeatRequest{WorkerID: w.ID()}, &resp)
+			w.rpc(ctx, "/v1/workers/heartbeat", HeartbeatRequest{WorkerID: w.ID()}, &resp)
 		}
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/comm"
 	"repro/internal/dataset"
 	"repro/internal/gpu"
 	"repro/internal/model"
@@ -476,6 +475,3 @@ func PrepTimeCurve(n int) []float64 {
 	gen := dataset.NewGenerator(11)
 	return dataset.SortedPrepTimes(gen, dataset.DefaultPrepTimeModel(), n, 7)
 }
-
-// EosTopology re-exports the cluster topology for CLI display.
-func EosTopology() comm.Topology { return comm.Eos() }

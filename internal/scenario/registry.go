@@ -120,12 +120,6 @@ func PlatformNames() []string {
 	return names
 }
 
-// CPUProfileNames returns every registered CPU profile name, sorted.
-func CPUProfileNames() []string { return sortedKeys(cpuProfiles) }
-
-// PrepProfileNames returns every registered prep profile name, sorted.
-func PrepProfileNames() []string { return sortedKeys(prepProfiles) }
-
 func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {

@@ -3,18 +3,21 @@ package service
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"strings"
 
+	"repro/internal/fabric"
 	"repro/internal/scalefold"
 	"repro/internal/store"
 )
 
 // Client is the thin HTTP client behind `scalefold submit` and `scalefold
-// jobs`: plain JSON over the /v1 API, no state beyond the base URL.
+// jobs`: plain JSON over the /v1 API, no state beyond the base URL. Every
+// method goes through fabric.Call, the call path the fabric worker uses too.
 type Client struct {
 	// Base is the server root, e.g. "http://127.0.0.1:8823".
 	Base string
@@ -24,161 +27,92 @@ type Client struct {
 	HTTP *http.Client
 }
 
-func (c *Client) http() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	return http.DefaultClient
-}
-
 func (c *Client) url(path string) string {
 	return strings.TrimRight(c.Base, "/") + path
 }
 
-// decode parses a JSON response, lifting the server's error envelope (and
-// non-2xx status) into a Go error.
-func decode[T any](resp *http.Response, out *T) error {
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+// call sends one request through the shared /v1 call path (fabric.Call),
+// prefixing its errors with "service:". With out nil the 2xx response comes
+// back with its body open for the caller to read and close.
+func (c *Client) call(method, path string, req, out any) (*http.Response, error) {
+	resp, err := fabric.Call(context.Background(), c.HTTP, method, c.url(path), req, out)
 	if err != nil {
-		return fmt.Errorf("service: reading response: %w", err)
+		return nil, fmt.Errorf("service: %w", err)
 	}
-	if resp.StatusCode/100 != 2 {
-		var ae apiError
-		if json.Unmarshal(body, &ae) == nil && ae.Error != "" {
-			return fmt.Errorf("service: %s (HTTP %d)", ae.Error, resp.StatusCode)
-		}
-		return fmt.Errorf("service: HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(body))
-	}
-	if err := json.Unmarshal(body, out); err != nil {
-		return fmt.Errorf("service: decoding response: %w", err)
-	}
-	return nil
+	return resp, nil
 }
 
 // Submit posts a job spec and returns the accepted job's status.
-func (c *Client) Submit(spec JobSpec) (JobStatus, error) {
-	body, err := json.Marshal(spec)
-	if err != nil {
-		return JobStatus{}, fmt.Errorf("service: %w", err)
-	}
-	resp, err := c.http().Post(c.url("/v1/jobs"), "application/json", bytes.NewReader(body))
-	if err != nil {
-		return JobStatus{}, fmt.Errorf("service: %w", err)
-	}
-	var st JobStatus
-	return st, decode(resp, &st)
+func (c *Client) Submit(spec JobSpec) (st JobStatus, err error) {
+	_, err = c.call(http.MethodPost, "/v1/jobs", spec, &st)
+	return st, err
 }
 
 // SubmitSearch posts an adaptive-search spec (POST /v1/search) and returns
 // the accepted job's status.
-func (c *Client) SubmitSearch(spec SearchJobSpec) (JobStatus, error) {
-	body, err := json.Marshal(spec)
-	if err != nil {
-		return JobStatus{}, fmt.Errorf("service: %w", err)
-	}
-	resp, err := c.http().Post(c.url("/v1/search"), "application/json", bytes.NewReader(body))
-	if err != nil {
-		return JobStatus{}, fmt.Errorf("service: %w", err)
-	}
-	var st JobStatus
-	return st, decode(resp, &st)
+func (c *Client) SubmitSearch(spec SearchJobSpec) (st JobStatus, err error) {
+	_, err = c.call(http.MethodPost, "/v1/search", spec, &st)
+	return st, err
 }
 
 // Jobs lists every job on the server, in submit order.
 func (c *Client) Jobs() ([]JobStatus, error) {
-	resp, err := c.http().Get(c.url("/v1/jobs"))
-	if err != nil {
-		return nil, fmt.Errorf("service: %w", err)
-	}
 	var out struct {
 		Jobs []JobStatus `json:"jobs"`
 	}
-	return out.Jobs, decode(resp, &out)
+	_, err := c.call(http.MethodGet, "/v1/jobs", nil, &out)
+	return out.Jobs, err
 }
 
 // Job fetches one job's status.
-func (c *Client) Job(id string) (JobStatus, error) {
-	resp, err := c.http().Get(c.url("/v1/jobs/" + id))
-	if err != nil {
-		return JobStatus{}, fmt.Errorf("service: %w", err)
-	}
-	var st JobStatus
-	return st, decode(resp, &st)
+func (c *Client) Job(id string) (st JobStatus, err error) {
+	_, err = c.call(http.MethodGet, "/v1/jobs/"+id, nil, &st)
+	return st, err
 }
 
 // Cancel cancels a queued or running job and returns its status.
-func (c *Client) Cancel(id string) (JobStatus, error) {
-	resp, err := c.http().Post(c.url("/v1/jobs/"+id+"/cancel"), "application/json", nil)
-	if err != nil {
-		return JobStatus{}, fmt.Errorf("service: %w", err)
-	}
-	var st JobStatus
-	return st, decode(resp, &st)
+func (c *Client) Cancel(id string) (st JobStatus, err error) {
+	_, err = c.call(http.MethodPost, "/v1/jobs/"+id+"/cancel", nil, &st)
+	return st, err
 }
 
 // StoreStatus fetches the server's store statistics.
-func (c *Client) StoreStatus() (StoreStatus, error) {
-	resp, err := c.http().Get(c.url("/v1/store"))
-	if err != nil {
-		return StoreStatus{}, fmt.Errorf("service: %w", err)
-	}
-	var st StoreStatus
-	return st, decode(resp, &st)
+func (c *Client) StoreStatus() (st StoreStatus, err error) {
+	_, err = c.call(http.MethodGet, "/v1/store", nil, &st)
+	return st, err
 }
 
 // CompactStore asks the server to compact its persistent store
 // (POST /v1/store/compact) and returns the compaction statistics.
-func (c *Client) CompactStore() (store.CompactStats, error) {
-	resp, err := c.http().Post(c.url("/v1/store/compact"), "application/json", nil)
-	if err != nil {
-		return store.CompactStats{}, fmt.Errorf("service: %w", err)
-	}
-	var st store.CompactStats
-	return st, decode(resp, &st)
+func (c *Client) CompactStore() (st store.CompactStats, err error) {
+	_, err = c.call(http.MethodPost, "/v1/store/compact", nil, &st)
+	return st, err
 }
 
 // Trace downloads a job's Chrome trace-event JSON (GET /v1/jobs/{id}/trace)
 // and copies it to w verbatim — what `scalefold trace` writes to its output
 // file.
 func (c *Client) Trace(id string, w io.Writer) error {
-	resp, err := c.http().Get(c.url("/v1/jobs/" + id + "/trace"))
+	resp, err := c.call(http.MethodGet, "/v1/jobs/"+id+"/trace", nil, nil)
 	if err != nil {
-		return fmt.Errorf("service: %w", err)
+		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, rerr := io.ReadAll(resp.Body)
-		if rerr != nil {
-			// A truncated error body must not masquerade as an empty one:
-			// surface the read failure alongside the status.
-			return fmt.Errorf("service: HTTP %d: body unreadable: %v", resp.StatusCode, rerr)
-		}
-		var ae apiError
-		if json.Unmarshal(body, &ae) == nil && ae.Error != "" {
-			return fmt.Errorf("service: %s (HTTP %d)", ae.Error, resp.StatusCode)
-		}
-		return fmt.Errorf("service: HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(body))
-	}
 	if _, err := io.Copy(w, resp.Body); err != nil {
 		return fmt.Errorf("service: %w", err)
 	}
 	return nil
 }
 
-// Stream follows a job's NDJSON stream to completion. onRow (optional)
-// receives each RowEvent as it arrives; returning an error aborts the
-// stream. Stream returns the terminal DoneEvent.
-func (c *Client) Stream(id string, onRow func(RowEvent) error) (DoneEvent, error) {
-	resp, err := c.http().Get(c.url("/v1/jobs/" + id + "/stream"))
+// follow reads a job's NDJSON stream up to its done event, which it returns.
+// Every other line goes to on with its event type; on reports whether it
+// knows that type, and an error from on aborts the stream.
+func (c *Client) follow(id string, on func(typ string, line []byte) (bool, error)) (DoneEvent, error) {
+	resp, err := c.call(http.MethodGet, "/v1/jobs/"+id+"/stream", nil, nil)
 	if err != nil {
-		return DoneEvent{}, fmt.Errorf("service: %w", err)
+		return DoneEvent{}, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var st DoneEvent
-		return st, decode(resp, &st) // lifts the error envelope
-	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 64<<10), 16<<20)
 	for sc.Scan() {
@@ -192,25 +126,18 @@ func (c *Client) Stream(id string, onRow func(RowEvent) error) (DoneEvent, error
 		if err := json.Unmarshal(line, &kind); err != nil {
 			return DoneEvent{}, fmt.Errorf("service: bad stream line %q: %w", line, err)
 		}
-		switch kind.Type {
-		case "row":
-			if onRow == nil {
-				continue
-			}
-			var ev RowEvent
-			if err := json.Unmarshal(line, &ev); err != nil {
-				return DoneEvent{}, fmt.Errorf("service: bad row event: %w", err)
-			}
-			if err := onRow(ev); err != nil {
-				return DoneEvent{}, err
-			}
-		case "done":
-			var ev DoneEvent
-			if err := json.Unmarshal(line, &ev); err != nil {
+		if kind.Type == "done" {
+			var done DoneEvent
+			if err := json.Unmarshal(line, &done); err != nil {
 				return DoneEvent{}, fmt.Errorf("service: bad done event: %w", err)
 			}
-			return ev, nil
-		default:
+			return done, nil
+		}
+		known, err := on(kind.Type, line)
+		if err != nil {
+			return DoneEvent{}, err
+		}
+		if !known {
 			return DoneEvent{}, fmt.Errorf("service: unknown stream event type %q", kind.Type)
 		}
 	}
@@ -220,67 +147,50 @@ func (c *Client) Stream(id string, onRow func(RowEvent) error) (DoneEvent, error
 	return DoneEvent{}, fmt.Errorf("service: stream for %s ended without a done event", id)
 }
 
+// event decodes one stream line of type typ and hands it to fn; a nil fn
+// skips the line undecoded.
+func event[T any](typ string, line []byte, fn func(T) error) error {
+	if fn == nil {
+		return nil
+	}
+	var ev T
+	if err := json.Unmarshal(line, &ev); err != nil {
+		return fmt.Errorf("service: bad %s event: %w", typ, err)
+	}
+	return fn(ev)
+}
+
+// Stream follows a job's NDJSON stream to completion. onRow (optional)
+// receives each RowEvent as it arrives; returning an error aborts the
+// stream. Stream returns the terminal DoneEvent.
+func (c *Client) Stream(id string, onRow func(RowEvent) error) (DoneEvent, error) {
+	return c.follow(id, func(typ string, line []byte) (bool, error) {
+		if typ != "row" {
+			return false, nil
+		}
+		return true, event(typ, line, onRow)
+	})
+}
+
 // SearchStream follows a search job's NDJSON stream to completion. onProbe
 // (optional) receives each ProbeEvent as it arrives; returning an error
 // aborts the stream. SearchStream returns the FrontierEvent's report (nil if
 // the job ended without one — cancelled or failed) and the terminal
 // DoneEvent.
-func (c *Client) SearchStream(id string, onProbe func(ProbeEvent) error) (*scalefold.Frontier, DoneEvent, error) {
-	resp, err := c.http().Get(c.url("/v1/jobs/" + id + "/stream"))
-	if err != nil {
-		return nil, DoneEvent{}, fmt.Errorf("service: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var st DoneEvent
-		return nil, st, decode(resp, &st) // lifts the error envelope
-	}
-	var frontier *scalefold.Frontier
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64<<10), 16<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		var kind struct {
-			Type string `json:"type"`
-		}
-		if err := json.Unmarshal(line, &kind); err != nil {
-			return frontier, DoneEvent{}, fmt.Errorf("service: bad stream line %q: %w", line, err)
-		}
-		switch kind.Type {
+func (c *Client) SearchStream(id string, onProbe func(ProbeEvent) error) (frontier *scalefold.Frontier, done DoneEvent, err error) {
+	done, err = c.follow(id, func(typ string, line []byte) (bool, error) {
+		switch typ {
 		case "probe":
-			if onProbe == nil {
-				continue
-			}
-			var ev ProbeEvent
-			if err := json.Unmarshal(line, &ev); err != nil {
-				return frontier, DoneEvent{}, fmt.Errorf("service: bad probe event: %w", err)
-			}
-			if err := onProbe(ev); err != nil {
-				return frontier, DoneEvent{}, err
-			}
+			return true, event(typ, line, onProbe)
 		case "frontier":
-			var ev FrontierEvent
-			if err := json.Unmarshal(line, &ev); err != nil {
-				return frontier, DoneEvent{}, fmt.Errorf("service: bad frontier event: %w", err)
-			}
-			frontier = &ev.Frontier
-		case "done":
-			var ev DoneEvent
-			if err := json.Unmarshal(line, &ev); err != nil {
-				return frontier, DoneEvent{}, fmt.Errorf("service: bad done event: %w", err)
-			}
-			return frontier, ev, nil
-		default:
-			return frontier, DoneEvent{}, fmt.Errorf("service: unknown stream event type %q", kind.Type)
+			return true, event(typ, line, func(ev FrontierEvent) error {
+				frontier = &ev.Frontier
+				return nil
+			})
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return frontier, DoneEvent{}, fmt.Errorf("service: %w", err)
-	}
-	return frontier, DoneEvent{}, fmt.Errorf("service: stream for %s ended without a done event", id)
+		return false, nil
+	})
+	return frontier, done, err
 }
 
 // RawStream follows a job's stream and prints one JSON object per line to w

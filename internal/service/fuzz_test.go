@@ -26,7 +26,7 @@ func FuzzSearchSpec(f *testing.F) {
 		if dec.Decode(&spec) != nil {
 			return // refused at the handler with 400
 		}
-		if err := spec.searchSpec().WithDefaults().Validate(); err != nil {
+		if err := spec.SearchSpec().WithDefaults().Validate(); err != nil {
 			return // refused at Submit with 400
 		}
 		blob, err := json.Marshal(spec)
@@ -37,7 +37,7 @@ func FuzzSearchSpec(f *testing.F) {
 		if err := json.Unmarshal(blob, &back); err != nil {
 			t.Fatalf("round trip of accepted spec rejected: %s: %v", blob, err)
 		}
-		if err := back.searchSpec().WithDefaults().Validate(); err != nil {
+		if err := back.SearchSpec().WithDefaults().Validate(); err != nil {
 			t.Fatalf("round trip broke validity: %s: %v", blob, err)
 		}
 	})

@@ -35,8 +35,9 @@ type job struct {
 	onState func(from, to string)
 
 	// stop, when set (by runJob, before dispatch starts), is fired on cancel
-	// to abort remote waits — cells parked in fabric Execute calls — that the
-	// drain gate alone cannot unblock. Guarded by mu; fired outside it.
+	// to abort remote waits — cells parked in fabric ExecuteReport calls —
+	// that the drain gate alone cannot unblock. Guarded by mu; fired outside
+	// it.
 	stop atomic.Pointer[func()]
 
 	mu       sync.Mutex

@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"io"
+	"net/http"
 	"strings"
 	"testing"
 
@@ -28,7 +29,7 @@ func TestBadModeIs400TypedError(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := c.http().Post(c.url("/v1/jobs"), "application/json", strings.NewReader(string(body)))
+		resp, err := http.Post(c.url("/v1/jobs"), "application/json", strings.NewReader(string(body)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +94,7 @@ func TestAnalyticJobEndToEnd(t *testing.T) {
 		}
 	}
 
-	resp, err := c.http().Get(c.url("/v1/metrics"))
+	resp, err := http.Get(c.url("/v1/metrics"))
 	if err != nil {
 		t.Fatal(err)
 	}

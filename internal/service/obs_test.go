@@ -3,11 +3,11 @@ package service
 import (
 	"encoding/json"
 	"io"
+	"net/http"
 	"regexp"
 	"strings"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/obs"
 )
 
@@ -33,7 +33,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if done.State != StateDone {
 		t.Fatalf("job ended %s: %+v", done.State, done)
 	}
-	resp, err := c.http().Get(c.url("/v1/metrics"))
+	resp, err := http.Get(c.url("/v1/metrics"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,9 +75,10 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 // TestTraceEndpoint proves the trace export contract: the download is valid
-// Chrome trace-event JSON that unmarshals into the simulator's own
-// cluster.TraceEvent shape, and the job's spans cover every cell exactly
-// once with local-engine attribution (no fabric configured here).
+// Chrome trace-event JSON that unmarshals into obs.TraceEvent, the event
+// type the simulator's cluster.Timeline is built from too, and the job's
+// spans cover every cell exactly once with local-engine attribution (no
+// fabric configured here).
 func TestTraceEndpoint(t *testing.T) {
 	_, c, stop := newTestServer(t, Config{Workers: 1})
 	defer stop()
@@ -88,7 +89,7 @@ func TestTraceEndpoint(t *testing.T) {
 	if done, err := c.Stream(st.ID, nil); err != nil || done.State != StateDone {
 		t.Fatalf("stream: %+v, %v", done, err)
 	}
-	resp, err := c.http().Get(c.url("/v1/jobs/" + st.ID + "/trace"))
+	resp, err := http.Get(c.url("/v1/jobs/" + st.ID + "/trace"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,12 +103,6 @@ func TestTraceEndpoint(t *testing.T) {
 	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
-	}
-	// Format compatibility: the export decodes into the step-level trace
-	// type the simulator already emits (obs.TraceEvent only adds args).
-	var compat []cluster.TraceEvent
-	if err := json.Unmarshal(raw, &compat); err != nil {
-		t.Fatalf("trace does not decode as []cluster.TraceEvent: %v", err)
 	}
 	var events []obs.TraceEvent
 	if err := json.Unmarshal(raw, &events); err != nil {
@@ -138,7 +133,7 @@ func TestTraceEndpoint(t *testing.T) {
 		}
 	}
 	// Unknown jobs get the JSON error envelope, not an empty trace.
-	if resp, err := c.http().Get(c.url("/v1/jobs/nope/trace")); err != nil {
+	if resp, err := http.Get(c.url("/v1/jobs/nope/trace")); err != nil {
 		t.Fatal(err)
 	} else {
 		resp.Body.Close()
@@ -160,12 +155,8 @@ func TestHealthzEnriched(t *testing.T) {
 	if done, err := c.Stream(st.ID, nil); err != nil || done.State != StateDone {
 		t.Fatalf("stream: %+v, %v", done, err)
 	}
-	resp, err := c.http().Get(c.url("/v1/healthz"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	var hs HealthStatus
-	if err := decode(resp, &hs); err != nil {
+	if _, err := c.call(http.MethodGet, "/v1/healthz", nil, &hs); err != nil {
 		t.Fatal(err)
 	}
 	if !hs.OK || hs.GoVersion == "" || hs.UptimeSec < 0 {

@@ -44,9 +44,10 @@ type SearchJobSpec struct {
 	SimWorkers int `json:"sim_workers,omitempty"`
 }
 
-// searchSpec lowers the wire spec to an executable one (the server fills
-// cache, store, metrics and scheduling hooks).
-func (js SearchJobSpec) searchSpec() scalefold.SearchSpec {
+// SearchSpec lowers the wire spec to an executable one. The server fills
+// cache, store, metrics and scheduling hooks; a local `scalefold optimize`
+// adds its store and progress printer.
+func (js SearchJobSpec) SearchSpec() scalefold.SearchSpec {
 	return scalefold.SearchSpec{
 		Objective:    js.Objective,
 		Platform:     js.Arch,
@@ -92,7 +93,7 @@ type FrontierEvent struct {
 // queue, scheduler pool and store as sweep jobs. Budget plays the role of
 // Cells in the job's progress accounting.
 func (s *Server) SubmitSearch(spec SearchJobSpec) (JobStatus, error) {
-	sp := spec.searchSpec().WithDefaults()
+	sp := spec.SearchSpec().WithDefaults()
 	if err := sp.Validate(); err != nil {
 		return JobStatus{}, &BadSpecError{Err: err}
 	}
@@ -111,7 +112,7 @@ func (s *Server) SubmitSearch(spec SearchJobSpec) (JobStatus, error) {
 // sweep cells, under identical fingerprints, so searches and sweeps share
 // every record.
 func (s *Server) runSearchJob(j *job) {
-	ss := j.search.searchSpec()
+	ss := j.search.SearchSpec()
 	ss.Cache = sweep.NewCache[cluster.Result]()
 	ss.Store = s.st
 	ss.OnStoreErr = j.noteStoreErr

@@ -2,6 +2,7 @@ package service
 
 import (
 	"io"
+	"net/http"
 	"strings"
 	"testing"
 )
@@ -61,7 +62,7 @@ func TestSearchJobEndToEnd(t *testing.T) {
 	}
 	// The search series are live: probe counters by source, the frontier
 	// gauge, the latency histogram.
-	resp, err := c.http().Get(c.url("/v1/metrics"))
+	resp, err := http.Get(c.url("/v1/metrics"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestBadSearchSpecIs400(t *testing.T) {
 	if _, err := c.SubmitSearch(bad); err == nil || !strings.Contains(err.Error(), "HTTP 400") {
 		t.Fatalf("unknown mode must yield HTTP 400, got %v", err)
 	}
-	resp, err := c.http().Post(c.url("/v1/search"), "application/json",
+	resp, err := http.Post(c.url("/v1/search"), "application/json",
 		strings.NewReader(`{"objective": 7}`))
 	if err != nil {
 		t.Fatal(err)

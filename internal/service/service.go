@@ -318,7 +318,8 @@ func (s *Server) Close() error {
 	close(s.queue)
 	s.mu.Unlock()
 	// Fail the fabric's outstanding tasks before waiting: a scheduler worker
-	// parked in a remote Execute must be unblocked for the drain to finish.
+	// parked in a remote ExecuteReport must be unblocked for the drain to
+	// finish.
 	if s.coord != nil {
 		s.coord.Close()
 	}
@@ -332,7 +333,7 @@ func (s *Server) Close() error {
 // Submit validates and enqueues a sweep job, returning its initial status.
 func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 	spec = spec.withDefaults()
-	sw := spec.sweepSpec()
+	sw := spec.SweepSpec()
 	if err := sw.Validate(); err != nil {
 		return JobStatus{}, &BadSpecError{Err: err}
 	}
@@ -501,13 +502,12 @@ func (s *Server) CompactStore() (store.CompactStats, bool, error) {
 // then the simulator — gated by the server-wide slot semaphore so concurrent
 // jobs cannot oversubscribe the machine.
 func (s *Server) runJob(j *job) {
-	sw := j.spec.sweepSpec()
+	sw := j.spec.SweepSpec()
 	sw.Cache = sweep.NewCache[cluster.Result]()
 	sw.Store = s.st
 	sw.OnStoreErr = j.noteStoreErr
 	sw.Metrics = &j.metrics
 	sw.Trace = j.trace
-	sw.Workers = j.spec.Workers
 	sw.OnEstimate = s.observeEstimate
 	sw.OnRow = j.streamRow
 	if s.coord != nil {

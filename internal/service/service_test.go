@@ -224,6 +224,45 @@ func TestOversizedBodiesAre413(t *testing.T) {
 	}
 }
 
+// TestTrailingDataIs400 pins that a POST body holds exactly one JSON value:
+// anything but whitespace after it gets the JSON 400, while the newline
+// json.Encoder ends every body with is still accepted.
+func TestTrailingDataIs400(t *testing.T) {
+	_, c, stop := newTestServer(t, Config{Workers: 1, Fabric: &fabric.Config{}})
+	defer stop()
+	job := tinyJob()
+	job.Mode = "analytic" // resolves on the coordinator: no fleet needed
+	first, err := json.Marshal(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for path, body := range map[string]string{
+		"/v1/jobs":             string(first),
+		"/v1/workers/register": `{"name":"a"}`,
+	} {
+		for _, tail := range []string{` {"bogus":1} garbage`, ` garbage`, `}`, `{}`} {
+			resp, err := http.Post(c.Base+path, "application/json", strings.NewReader(body+tail))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ae apiError
+			err = json.NewDecoder(resp.Body).Decode(&ae)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || err != nil || ae.Error == "" {
+				t.Fatalf("POST %s with trailing %q = HTTP %d (%v, %+v); want a JSON 400", path, tail, resp.StatusCode, err, ae)
+			}
+		}
+		resp, err := http.Post(c.Base+path, "application/json", strings.NewReader(body+"\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode/100 != 2 {
+			t.Fatalf("POST %s with a trailing newline = HTTP %d, want 2xx", path, resp.StatusCode)
+		}
+	}
+}
+
 func TestUnknownJobIs404(t *testing.T) {
 	_, c, stop := newTestServer(t, Config{Workers: 1})
 	defer stop()
@@ -341,14 +380,10 @@ func TestFinishedJobRetentionBounded(t *testing.T) {
 func TestHealthz(t *testing.T) {
 	srv, c, stop := newTestServer(t, Config{Workers: 1})
 	defer stop()
-	resp, err := c.http().Get(c.url("/v1/healthz"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	var ok struct {
 		OK bool `json:"ok"`
 	}
-	if err := decode(resp, &ok); err != nil || !ok.OK {
+	if _, err := c.call(http.MethodGet, "/v1/healthz", nil, &ok); err != nil || !ok.OK {
 		t.Fatalf("healthz: %+v, %v", ok, err)
 	}
 	// Submitting after Close is refused rather than wedging the queue.

@@ -2,6 +2,7 @@ package service
 
 import (
 	"io"
+	"net/http"
 	"sync"
 	"testing"
 )
@@ -66,7 +67,7 @@ func TestStreamFollowersRaceCompletionCancelAndPrune(t *testing.T) {
 		go func(id string) {
 			defer wg.Done()
 			for _, path := range []string{"/v1/metrics", "/v1/healthz"} {
-				if resp, err := c.http().Get(c.url(path)); err == nil {
+				if resp, err := http.Get(c.url(path)); err == nil {
 					io.Copy(io.Discard, resp.Body)
 					resp.Body.Close()
 				}

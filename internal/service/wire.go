@@ -83,10 +83,10 @@ func (js JobSpec) withDefaults() JobSpec {
 	return js
 }
 
-// sweepSpec lowers the wire spec to an executable one (axes and explicit
-// scenarios only — the server fills cache, store, metrics and scheduling
-// hooks).
-func (js JobSpec) sweepSpec() scalefold.SweepSpec {
+// SweepSpec lowers the wire spec to an executable one: axes, explicit
+// scenarios and the parallelism knobs. The server fills cache, store,
+// metrics and scheduling hooks; `scalefold sweep` runs it as it is.
+func (js JobSpec) SweepSpec() scalefold.SweepSpec {
 	return scalefold.SweepSpec{
 		Profile:    js.Profile,
 		Arches:     js.Arches,
@@ -95,6 +95,7 @@ func (js JobSpec) sweepSpec() scalefold.SweepSpec {
 		Ablations:  js.Ablations,
 		Seeds:      js.Seeds,
 		Steps:      js.Steps,
+		Workers:    js.Workers,
 		SimWorkers: js.SimWorkers,
 		Perturb:    js.Perturb,
 		Mode:       js.Mode,

@@ -16,7 +16,7 @@ type benchTrainer struct {
 }
 
 func newBenchTrainer(cfg model.Config) *benchTrainer {
-	mdl := model.New(cfg, ag.NewTape(), 1)
+	mdl := train.NewModel(cfg, ag.NewTape(), 1)
 	gen := dataset.NewGenerator(2)
 	gen.MSADepth = cfg.MSADepth
 	rng := rand.New(rand.NewSource(3))

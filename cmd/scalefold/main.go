@@ -500,18 +500,26 @@ bounds straddle the resilience cliff`)
 		RestartCost: *restartCost,
 		Base:        parsePerturb("resilience", *perturbFlag),
 		Steps:       *steps,
-		Workers:     *workers,
-		SimWorkers:  *simWorkers,
-		Mode:        parseMode("resilience", *modeFlag),
+	}
+	var met scalefold.SweepMetrics
+	sw := scalefold.SweepSpec{
+		Workers:    *workers,
+		SimWorkers: *simWorkers,
+		Mode:       parseMode("resilience", *modeFlag),
+		Metrics:    &met,
 	}
 	if ds := openStore("resilience", *storeDir); ds != nil {
 		defer ds.Close()
-		spec.Store = ds
+		sw.Store = ds
 	}
-	var met scalefold.SweepMetrics
-	spec.Metrics = &met
 	t0 := time.Now()
-	rows, err := spec.Run(progress(*quiet))
+	scs, err := spec.Scenarios()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%v\n", err)
+		os.Exit(2)
+	}
+	sw.Scenarios = scs
+	rows, err := sw.Run(progress(*quiet))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%v\n", err)
 		os.Exit(2)

@@ -2,6 +2,10 @@ package main
 
 import (
 	"bytes"
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -76,5 +80,58 @@ func TestDispatchMatchesDocumentation(t *testing.T) {
 		if _, ok := runners[name]; !ok {
 			t.Errorf("allRunners entry %q has no runner", name)
 		}
+	}
+}
+
+// TestCLIDoesNotLinkTrainingStack keeps the miniature AlphaFold's numeric
+// stack out of the what-if engine: the CLI needs only the model geometry
+// (package model), never the tensors, autodiff or fused optimizer kernels
+// that package train builds on. It walks the non-test imports of this
+// package transitively, parsing import clauses only.
+func TestCLIDoesNotLinkTrainingStack(t *testing.T) {
+	const module = "repro/"
+	banned := map[string]bool{
+		"repro/internal/tensor":   true,
+		"repro/internal/autograd": true,
+		"repro/internal/kernels":  true,
+	}
+	root := filepath.Join("..", "..")
+	via := map[string]string{"repro/cmd/scalefold": ""}
+	queue := []string{"repro/cmd/scalefold"}
+	for len(queue) > 0 {
+		pkg := queue[0]
+		queue = queue[1:]
+		dir := filepath.Join(root, filepath.FromSlash(strings.TrimPrefix(pkg, module)))
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range files {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, imp := range f.Imports {
+				dep, _ := strconv.Unquote(imp.Path.Value)
+				if _, seen := via[dep]; seen || !strings.HasPrefix(dep, module) {
+					continue
+				}
+				via[dep] = pkg
+				if banned[dep] {
+					chain := dep
+					for p := pkg; p != ""; p = via[p] {
+						chain = p + " -> " + chain
+					}
+					t.Errorf("CLI links the training stack: %s", chain)
+				}
+				queue = append(queue, dep)
+			}
+		}
+	}
+	if len(via) < 2 {
+		t.Fatalf("import walk found %d packages from %s; wrong root?", len(via), root)
 	}
 }

@@ -19,7 +19,7 @@ func main() {
 	cfg := model.SmallConfig()
 	cfg.Crop = 12
 	cfg.EvoBlocks = 2
-	mdl := model.New(cfg, ag.NewTape(), 42)
+	mdl := train.NewModel(cfg, ag.NewTape(), 42)
 	fmt.Printf("model: %d parameters across %d tensors (full AlphaFold: 97M)\n",
 		mdl.Params.Count(), len(mdl.Params.All()))
 

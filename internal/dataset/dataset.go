@@ -5,7 +5,9 @@
 // the backbone is a 3D chain whose torsion angles are derived from local
 // sequence windows. That makes structure prediction *learnable* — the model
 // can in principle recover the sequence→angle map — which is all the
-// training-side experiments need (DESIGN.md substitution table).
+// training-side experiments need (DESIGN.md substitution table). Turning a
+// sample into the network's input tensors (train.Featurize) lives with the
+// network in package train, so this package imports no numeric stack.
 //
 // The package also models the property of the real dataset that drives the
 // paper's §3.2: batch preparation time varies across three orders of

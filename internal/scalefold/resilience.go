@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"strconv"
 
-	"repro/internal/cluster"
 	"repro/internal/perturb"
 	"repro/internal/scenario"
-	"repro/internal/store"
 	"repro/internal/sweep"
 )
 
@@ -18,6 +16,11 @@ import (
 // paper's healthy-cluster measurements cannot: how fast does goodput decay
 // as the fleet grows and per-rank failures accumulate into whole-job
 // restarts?
+//
+// The spec is identity only: Scenarios lowers it to an explicit scenario
+// list, which runs as SweepSpec{Scenarios: ...} under the caller's
+// execution knobs (mode, workers, store, cache, metrics), and
+// ResilienceTable formats the resulting rows.
 type ResilienceSpec struct {
 	// Platform names the hardware profile ("H100", "a100-selene", ...).
 	Platform string
@@ -39,20 +42,6 @@ type ResilienceSpec struct {
 	// steps sharpen the failure-rate resolution: a cell only restarts if
 	// some rank fails within the simulated window.
 	Steps int
-	// Mode selects how cells resolve, as in SweepSpec.Mode: "" or "exact"
-	// simulates, "analytic" serves closed-form estimates, "auto" estimates
-	// and escalates exactly the cells whose goodput bounds straddle the
-	// resilience cliff — the transition region this sweep exists to map.
-	Mode string
-	// Execution knobs, as in SweepSpec.
-	Workers    int
-	SimWorkers int
-	Store      store.Store[cluster.Result]
-	Cache      *sweep.Cache[cluster.Result]
-	// Metrics, when non-nil, counts how each executed cell was satisfied —
-	// the same counters a sweep-service job exports, so the CLI's run
-	// summary prints the numbers servers would.
-	Metrics *SweepMetrics
 }
 
 // DefaultResilienceSpec is the out-of-the-box resilience sweep: the paper's
@@ -66,14 +55,6 @@ func DefaultResilienceSpec() ResilienceSpec {
 		FailProbs:   []float64{0, 1e-5, 1e-4, 1e-3, 1e-2},
 		RestartCost: 60,
 	}
-}
-
-// ResilienceRow is one executed cell of the sweep.
-type ResilienceRow struct {
-	Ranks    int
-	FailProb float64
-	Config   StepConfig
-	Res      cluster.Result
 }
 
 // Scenarios lowers the spec to its explicit scenario list, in row order
@@ -108,42 +89,13 @@ func (s ResilienceSpec) Scenarios() ([]scenario.Scenario, error) {
 	return out, nil
 }
 
-// Run executes the sweep on the engine (explicit-scenario path: every cell
-// is fully specified, memoized and store-backed like any other scenario)
-// and returns one row per (ranks, fail_prob) cell in declaration order.
-func (s ResilienceSpec) Run(onProgress func(sweep.Progress)) ([]ResilienceRow, error) {
-	scs, err := s.Scenarios()
-	if err != nil {
-		return nil, err
-	}
-	sw := SweepSpec{
-		Scenarios:  scs,
-		Workers:    s.Workers,
-		SimWorkers: s.SimWorkers,
-		Mode:       s.Mode,
-		Store:      s.Store,
-		Cache:      s.Cache,
-		Metrics:    s.Metrics,
-	}
-	sweepRows, err := sw.Run(onProgress)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]ResilienceRow, len(sweepRows))
-	i := 0
-	for _, ranks := range s.Ranks {
-		for _, fp := range s.FailProbs {
-			rows[i] = ResilienceRow{Ranks: ranks, FailProb: fp, Config: sweepRows[i].Config, Res: sweepRows[i].Res}
-			i++
-		}
-	}
-	return rows, nil
-}
-
-// ResilienceTable formats the rows as the canonical goodput-vs-failure-rate
-// table: fixed-precision seconds and shares, so output is byte-identical
-// across worker counts and store states.
-func ResilienceTable(spec ResilienceSpec, rows []ResilienceRow) sweep.Table {
+// ResilienceTable formats the rows of a sweep over spec.Scenarios() as the
+// canonical goodput-vs-failure-rate table: fixed-precision seconds and
+// shares, so output is byte-identical across worker counts and store states.
+// Ranks, failure probability and restart cost come from each row's scenario
+// (an unperturbed cell has both at 0); platform and DAP come from spec as
+// spelled.
+func ResilienceTable(spec ResilienceSpec, rows []SweepRow) sweep.Table {
 	tab := sweep.Table{Header: []string{
 		"arch", "ranks", "dap", "fail_prob", "restart_cost_s",
 		"goodput", "restarts", "stall_share",
@@ -154,13 +106,13 @@ func ResilienceTable(spec ResilienceSpec, rows []ResilienceRow) sweep.Table {
 	}
 	frac := func(v float64) string { return strconv.FormatFloat(v, 'f', 6, 64) }
 	for _, r := range rows {
-		restart := 0.0
+		var failProb, restart float64
 		if p := r.Config.Perturb; p != nil {
-			restart = p.RestartCost
+			failProb, restart = p.FailProb, p.RestartCost
 		}
 		tab.Append(
-			spec.Platform, strconv.Itoa(r.Ranks), strconv.Itoa(spec.DAP),
-			strconv.FormatFloat(r.FailProb, 'g', -1, 64),
+			spec.Platform, strconv.Itoa(r.Config.Ranks), strconv.Itoa(spec.DAP),
+			strconv.FormatFloat(failProb, 'g', -1, 64),
 			strconv.FormatFloat(restart, 'g', -1, 64),
 			frac(r.Res.Goodput), strconv.Itoa(r.Res.Restarts), frac(r.Res.StallShare),
 			sec(r.Res.MedianStep), sec(r.Res.P99Step), sec(r.Res.MeanStep),

@@ -18,7 +18,6 @@ func tinyResilienceSpec() ResilienceSpec {
 		FailProbs:   []float64{0, 0.5},
 		RestartCost: 30,
 		Steps:       2,
-		Cache:       sweep.NewCache[cluster.Result](),
 	}
 }
 
@@ -72,10 +71,14 @@ func TestResilienceScenariosKeyByGeneration(t *testing.T) {
 // rows at goodput exactly 1 with zero restarts, and failing rows strictly
 // below them.
 func TestResilienceTableDeterministicAndDegrading(t *testing.T) {
-	render := func(workers int) (string, []ResilienceRow) {
+	render := func(workers int) (string, []SweepRow) {
 		spec := tinyResilienceSpec()
-		spec.Workers = workers
-		rows, err := spec.Run(nil)
+		scs, err := spec.Scenarios()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sw := SweepSpec{Scenarios: scs, Workers: workers, Cache: sweep.NewCache[cluster.Result]()}
+		rows, err := sw.Run(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +94,11 @@ func TestResilienceTableDeterministicAndDegrading(t *testing.T) {
 		t.Fatalf("resilience table not byte-identical across workers:\n%s\nvs\n%s", serial, parallel)
 	}
 	for _, r := range rows {
-		if r.FailProb == 0 {
+		var failProb float64
+		if p := r.Config.Perturb; p != nil {
+			failProb = p.FailProb
+		}
+		if failProb == 0 {
 			if r.Res.Goodput != 1 || r.Res.Restarts != 0 {
 				t.Fatalf("healthy row degraded: %+v", r.Res)
 			}
@@ -99,7 +106,7 @@ func TestResilienceTableDeterministicAndDegrading(t *testing.T) {
 		}
 		if r.Res.Goodput >= 1 || r.Res.Restarts == 0 {
 			t.Fatalf("fail_prob=%v row did not degrade: goodput=%v restarts=%d",
-				r.FailProb, r.Res.Goodput, r.Res.Restarts)
+				failProb, r.Res.Goodput, r.Res.Restarts)
 		}
 		if r.Res.MeanStep <= r.Res.MedianStep/2 {
 			t.Fatalf("restart cost vanished from the mean: %+v", r.Res)

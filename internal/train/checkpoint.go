@@ -4,8 +4,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-
-	"repro/internal/model"
 )
 
 // Checkpoint is a serializable snapshot of a training run: parameters,
@@ -71,7 +69,7 @@ func (t *Trainer) Load(r io.Reader) error {
 
 // NewFromCheckpoint builds a trainer for mdl and immediately restores state
 // from r — the MLPerf "initialize from predefined checkpoint" entry point.
-func NewFromCheckpoint(mdl *model.Model, cfg Config, r io.Reader) (*Trainer, error) {
+func NewFromCheckpoint(mdl *Model, cfg Config, r io.Reader) (*Trainer, error) {
 	t := New(mdl, cfg)
 	if err := t.Load(r); err != nil {
 		return nil, err

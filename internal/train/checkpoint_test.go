@@ -9,8 +9,8 @@ import (
 	"repro/internal/model"
 )
 
-func freshModel(cfg model.Config, seed int64) *model.Model {
-	return model.New(cfg, ag.NewTape(), seed)
+func freshModel(cfg model.Config, seed int64) *Model {
+	return NewModel(cfg, ag.NewTape(), seed)
 }
 
 func TestCheckpointRoundTrip(t *testing.T) {

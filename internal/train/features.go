@@ -1,9 +1,9 @@
-package dataset
+package train
 
 import (
-	"math"
 	"math/rand"
 
+	"repro/internal/dataset"
 	"repro/internal/model"
 	"repro/internal/tensor"
 )
@@ -14,10 +14,10 @@ import (
 // feature is the one-hot sequence; the template feature encodes a coarse
 // distance matrix of a noisy copy of the true structure (standing in for
 // real template hits); relpos is the clipped relative-position one-hot.
-func Featurize(s *Sample, cfg model.Config, rng *rand.Rand) *model.Features {
+func Featurize(s *dataset.Sample, cfg model.Config, rng *rand.Rand) *Features {
 	r := cfg.Crop
 	if len(s.Seq) != r {
-		panic("dataset: Featurize requires a sample cropped to cfg.Crop")
+		panic("train: Featurize requires a sample cropped to cfg.Crop")
 	}
 
 	msa := tensor.New(cfg.MSADepth, r, cfg.MSAFeat)
@@ -68,7 +68,7 @@ func Featurize(s *Sample, cfg model.Config, rng *rand.Rand) *model.Features {
 	}
 	for i := 0; i < r; i++ {
 		for j := 0; j < r; j++ {
-			d := dist(noisy[i], noisy[j])
+			d := float32(dist3(noisy[i], noisy[j]))
 			bin := int(d / 4.0)
 			if bin >= cfg.TemplFeat {
 				bin = cfg.TemplFeat - 1
@@ -92,26 +92,19 @@ func Featurize(s *Sample, cfg model.Config, rng *rand.Rand) *model.Features {
 		}
 	}
 
-	return &model.Features{MSA: msa, ExtraMSA: extra, Target: target, Template: tmpl, RelPos: relpos}
+	return &Features{MSA: msa, ExtraMSA: extra, Target: target, Template: tmpl, RelPos: relpos}
 }
 
 // TrueDistances returns the pairwise Cα distance matrix of the sample's
 // ground-truth structure as an [R,R] tensor. The trainer's loss compares
 // predicted and true distance matrices (rotation/translation invariant).
-func TrueDistances(s *Sample) *tensor.Tensor {
+func TrueDistances(s *dataset.Sample) *tensor.Tensor {
 	r := len(s.Coords)
 	out := tensor.New(r, r)
 	for i := 0; i < r; i++ {
 		for j := 0; j < r; j++ {
-			out.Data[i*r+j] = dist(s.Coords[i], s.Coords[j])
+			out.Data[i*r+j] = float32(dist3(s.Coords[i], s.Coords[j]))
 		}
 	}
 	return out
-}
-
-func dist(a, b [3]float32) float32 {
-	dx := float64(a[0] - b[0])
-	dy := float64(a[1] - b[1])
-	dz := float64(a[2] - b[2])
-	return float32(math.Sqrt(dx*dx + dy*dy + dz*dz))
 }

@@ -1,16 +1,4 @@
-// Package model implements a complete miniature AlphaFold2 model in the
-// OpenFold formulation: input embedding, a template pair stack, an extra-MSA
-// stack, the 48-block Evoformer stack (Figure 1), and a structure module,
-// with recycling. All nine Evoformer sub-modules of Figure 2 are present:
-// row-wise gated self-attention with pair bias, column-wise gated
-// self-attention, MSA transition, outer product mean, triangle
-// multiplicative updates using outgoing and incoming edges, triangle
-// self-attention around the starting and ending nodes, and pair transition.
-//
-// Channel widths and depths are configurable: tests and examples run a
-// reduced geometry that trains on a laptop, while the workload census in
-// package workload uses the full AlphaFold shape to reproduce Table 1.
-package model
+package train
 
 import (
 	"fmt"
@@ -34,9 +22,9 @@ type Params struct {
 	rng    *rand.Rand
 }
 
-// NewParams creates an empty registry bound to tape, with a seeded
+// newParams creates an empty registry bound to tape, with a seeded
 // initializer RNG.
-func NewParams(tape *autograd.Tape, seed int64) *Params {
+func newParams(tape *autograd.Tape, seed int64) *Params {
 	return &Params{tape: tape, byName: map[string]*autograd.Value{}, rng: rand.New(rng.New(seed))}
 }
 
@@ -117,7 +105,7 @@ func (p *Params) Count() int {
 func (p *Params) Get(name string) *autograd.Value {
 	v, ok := p.byName[name]
 	if !ok {
-		panic(fmt.Sprintf("model: unknown parameter %q", name))
+		panic(fmt.Sprintf("train: unknown parameter %q", name))
 	}
 	return v
 }

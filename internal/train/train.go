@@ -1,7 +1,20 @@
-// Package train implements the real training loop for the miniature
-// AlphaFold model: distance-matrix loss, Adam + stochastic weight averaging
-// + gradient clipping (via the fused kernels of package kernels), the
-// lDDT-Cα evaluation metric the paper's convergence criterion uses
+// Package train implements a complete miniature AlphaFold2 model in the
+// OpenFold formulation and the real training loop around it.
+//
+// The network (Model, built by NewModel) has input embedding, a template
+// pair stack, an extra-MSA stack, the Evoformer stack (Figure 1), and a
+// structure module, with recycling. All nine Evoformer sub-modules of
+// Figure 2 are present: row-wise gated self-attention with pair bias,
+// column-wise gated self-attention, MSA transition, outer product mean,
+// triangle multiplicative updates using outgoing and incoming edges,
+// triangle self-attention around the starting and ending nodes, and pair
+// transition. Its geometry is a model.Config: tests and examples run a
+// reduced shape that trains on a laptop. Featurize turns a cropped
+// dataset.Sample into the network's input tensors.
+//
+// The trainer adds the distance-matrix loss, Adam + stochastic weight
+// averaging + gradient clipping (via the fused kernels of package kernels),
+// the lDDT-Cα evaluation metric the paper's convergence criterion uses
 // (avg_lddt_ca ≥ 0.8 / 0.9), and optional bfloat16 parameter emulation.
 package train
 
@@ -12,7 +25,6 @@ import (
 	ag "repro/internal/autograd"
 	"repro/internal/dataset"
 	"repro/internal/kernels"
-	"repro/internal/model"
 	"repro/internal/rng"
 	"repro/internal/tensor"
 )
@@ -35,7 +47,7 @@ func DefaultConfig() Config {
 
 // Trainer owns a model and its optimizer state.
 type Trainer struct {
-	Model *model.Model
+	Model *Model
 	Cfg   Config
 
 	step int
@@ -49,7 +61,7 @@ type Trainer struct {
 }
 
 // New creates a trainer for mdl.
-func New(mdl *model.Model, cfg Config) *Trainer {
+func New(mdl *Model, cfg Config) *Trainer {
 	ps := mdl.Params.All()
 	t := &Trainer{Model: mdl, Cfg: cfg}
 	t.m = make([][]float32, len(ps))
@@ -69,9 +81,9 @@ func (t *Trainer) Step() int { return t.step }
 
 // Loss computes the training loss for a sample on the given tape-bound
 // forward output: MSE between scaled predicted and true distance matrices.
-func (t *Trainer) Loss(out *model.Output, s *dataset.Sample) *ag.Value {
+func (t *Trainer) Loss(out *Output, s *dataset.Sample) *ag.Value {
 	pred := ag.Scale(ag.PairwiseDist(out.Coords), t.Cfg.DistScale)
-	target := dataset.TrueDistances(s).Scale(t.Cfg.DistScale)
+	target := TrueDistances(s).Scale(t.Cfg.DistScale)
 	return ag.MSE(pred, target)
 }
 
@@ -89,7 +101,7 @@ func (t *Trainer) TrainStep(batch []*dataset.Sample) float64 {
 	r := rand.New(rng.New(t.Cfg.Seed*31 + int64(t.step)))
 	var total float64
 	for _, s := range batch {
-		f := dataset.Featurize(s, t.Model.Cfg, r)
+		f := Featurize(s, t.Model.Cfg, r)
 		out := t.Model.Forward(f)
 		loss := ag.Scale(t.Loss(out, s), 1/float32(len(batch)))
 		tape.Backward(loss)
@@ -131,7 +143,7 @@ func (t *Trainer) applyUpdate() {
 func (t *Trainer) Predict(s *dataset.Sample) [][3]float32 {
 	tape := ag.NewTape()
 	t.Model.Params.Rebind(tape)
-	f := dataset.Featurize(s, t.Model.Cfg, rand.New(rng.New(t.Cfg.Seed+777)))
+	f := Featurize(s, t.Model.Cfg, rand.New(rng.New(t.Cfg.Seed+777)))
 	out := t.Model.Forward(f)
 	coords := make([][3]float32, t.Model.Cfg.Crop)
 	for i := range coords {

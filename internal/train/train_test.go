@@ -11,14 +11,14 @@ import (
 	"repro/internal/tensor"
 )
 
-func tinyModel(seed int64) *model.Model {
+func tinyModel(seed int64) *Model {
 	cfg := model.SmallConfig()
 	cfg.MSADepth, cfg.ExtraMSA, cfg.Crop = 4, 2, 10
 	cfg.CM, cfg.CME, cfg.CZ, cfg.CS = 8, 4, 4, 8
 	cfg.Heads, cfg.COPM, cfg.CTri = 2, 2, 4
 	cfg.EvoBlocks, cfg.ExtraBlocks, cfg.TemplateBlocks = 1, 1, 1
 	cfg.StructLayers, cfg.Recycles = 1, 1
-	return model.New(cfg, ag.NewTape(), seed)
+	return NewModel(cfg, ag.NewTape(), seed)
 }
 
 func cropBatch(t *testing.T, gen *dataset.Generator, cfg model.Config, idxs []int, seed int64) []*dataset.Sample {

@@ -123,13 +123,19 @@ func main() {
 		scalefold.AttachStore(ds, func(err error) { fmt.Fprintf(os.Stderr, "%s: store: %v\n", cmd, err) })
 	}
 	if cmd == "all" {
-		for _, name := range allRunners {
-			runners[name]()
-			fmt.Println()
-		}
+		all()
 		return
 	}
 	run()
+}
+
+// all prints every figure runner's output in allRunners order, each
+// followed by a blank line.
+func all() {
+	for _, name := range allRunners {
+		runners[name]()
+		fmt.Println()
+	}
 }
 
 // unknownCommand reports an unrecognized subcommand on w: the command list

@@ -6,7 +6,9 @@
 //
 // Figure/table benchmarks report the reproduced quantity as custom metrics
 // (b.ReportMetric), so `go test -bench` output doubles as the
-// paper-vs-measured record; EXPERIMENTS.md snapshots one run.
+// paper-vs-measured record; EXPERIMENTS.md snapshots one run. Figure
+// benchmarks pass a zero scalefold.SweepSpec, so every iteration resolves on
+// a fresh memo and prices the simulator, not a cache lookup.
 package repro
 
 import (
@@ -56,8 +58,7 @@ func BenchmarkTable1KernelBreakdown(b *testing.B) {
 func BenchmarkFig3BarrierAblation(b *testing.B) {
 	var imbalance8 float64
 	for i := 0; i < b.N; i++ {
-		scalefold.ResetStepCache()
-		for _, bar := range scalefold.Figure3(8) {
+		for _, bar := range scalefold.Figure3(scalefold.SweepSpec{}, 8) {
 			if bar.Name == "Imbalance communication" {
 				imbalance8 = bar.Share
 			}
@@ -96,8 +97,7 @@ func BenchmarkFig5PipelineTimeline(b *testing.B) {
 func BenchmarkFig7StepTime(b *testing.B) {
 	var sf8 float64
 	for i := 0; i < b.N; i++ {
-		scalefold.ResetStepCache()
-		for _, r := range scalefold.Figure7() {
+		for _, r := range scalefold.Figure7(scalefold.SweepSpec{}) {
 			if r.Label == "ScaleFold (H100x1024, DAP8)" {
 				sf8 = r.Seconds
 			}
@@ -112,8 +112,7 @@ func BenchmarkFig7StepTime(b *testing.B) {
 func BenchmarkFig8OptimizationLadder(b *testing.B) {
 	var final float64
 	for i := 0; i < b.N; i++ {
-		scalefold.ResetStepCache()
-		rungs := scalefold.Ladder()
+		rungs := scalefold.Ladder(scalefold.SweepSpec{})
 		final = rungs[len(rungs)-1].Speedup
 	}
 	b.ReportMetric(final, "final-speedup-x")
@@ -125,8 +124,7 @@ func BenchmarkFig8OptimizationLadder(b *testing.B) {
 func BenchmarkFig9TTTBreakdown(b *testing.B) {
 	var evalShare float64
 	for i := 0; i < b.N; i++ {
-		scalefold.ResetStepCache()
-		bars := scalefold.Figure9()
+		bars := scalefold.Figure9(scalefold.SweepSpec{})
 		evalShare = bars[1].Shares["eval"] // ScaleFold w/o async eval
 	}
 	b.ReportMetric(100*evalShare, "noasync-eval-share-%")
@@ -138,8 +136,7 @@ func BenchmarkFig9TTTBreakdown(b *testing.B) {
 func BenchmarkFig10TimeToTrain(b *testing.B) {
 	var minutes float64
 	for i := 0; i < b.N; i++ {
-		scalefold.ResetStepCache()
-		rows := scalefold.Figure10()
+		rows := scalefold.Figure10(scalefold.SweepSpec{})
 		minutes = rows[2].Minutes
 	}
 	b.ReportMetric(minutes, "scalefold-ttt-minutes")
@@ -151,8 +148,7 @@ func BenchmarkFig10TimeToTrain(b *testing.B) {
 func BenchmarkFig11PretrainingCurve(b *testing.B) {
 	var hours float64
 	for i := 0; i < b.N; i++ {
-		scalefold.ResetStepCache()
-		_, res := scalefold.Figure11()
+		_, res := scalefold.Figure11(scalefold.SweepSpec{})
 		hours = res.WallTime.Hours()
 	}
 	b.ReportMetric(hours, "pretrain-hours")
@@ -640,12 +636,12 @@ func BenchmarkSearchCliff(b *testing.B) {
 		// Cold store and memo every iteration: the benchmark prices
 		// discovery, not replay.
 		s := spec(store.NewMem[cluster.Result]())
-		sims0 := scalefold.Simulations()
+		s.Metrics = &scalefold.SweepMetrics{}
 		var err error
 		if f, err = s.Run(); err != nil {
 			b.Fatal(err)
 		}
-		exact = scalefold.Simulations() - sims0
+		exact = s.Metrics.Simulated.Load()
 		if f.Cliff == nil || !f.Cliff.Found {
 			b.Fatalf("cliff not found: %+v", f.Cliff)
 		}

@@ -6,6 +6,10 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/scalefold"
+	"repro/internal/sweep"
 )
 
 // TestAllMatchesGolden pins `scalefold all` byte for byte: every figure
@@ -21,7 +25,9 @@ func TestAllMatchesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := captureStdout(t, all)
+	got := captureStdout(t, func() {
+		all(scalefold.SweepSpec{Cache: sweep.NewCache[cluster.Result]()})
+	})
 	if !bytes.Equal(got, want) {
 		t.Fatalf("scalefold all drifted from testdata/all.golden:\n--- got ---\n%s", got)
 	}

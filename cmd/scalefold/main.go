@@ -56,8 +56,9 @@ import (
 )
 
 // runners maps figure subcommands to their printers; allRunners is their
-// `scalefold all` execution order.
-var runners = map[string]func(){
+// `scalefold all` execution order. Every printer runs its cells on the
+// execution value it is handed (see scalefold.Figure7).
+var runners = map[string]func(scalefold.SweepSpec){
 	"table1": table1, "fig3": fig3, "fig4": fig4, "fig5": fig5,
 	"fig7": fig7, "fig8": fig8, "fig9": fig9, "fig10": fig10, "fig11": fig11,
 }
@@ -105,9 +106,10 @@ func main() {
 	if !ok && cmd != "all" {
 		os.Exit(unknownCommand(os.Stderr, cmd))
 	}
-	// Figure commands (and `all`) accept -store: the process-wide memo then
-	// sits on the persistent store, so cells shared with earlier figure
-	// runs, `sweep -store` invocations or server jobs are not re-simulated.
+	// Figure commands (and `all`) share one memo, so `all` simulates a cell
+	// common to several figures once. They accept -store: the memo then sits
+	// on the persistent store, so cells shared with earlier figure runs,
+	// `sweep -store` invocations or server jobs are not re-simulated.
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 	storeDir := fs.String("store", "", `persistent result-store directory ("" = off)`)
 	var args []string
@@ -115,25 +117,24 @@ func main() {
 		args = os.Args[2:]
 	}
 	fs.Parse(args)
+	ex := scalefold.SweepSpec{Cache: sweep.NewCache[cluster.Result]()}
 	if ds := openStore(cmd, *storeDir); ds != nil {
-		defer func() {
-			scalefold.AttachStore(nil, nil)
-			ds.Close()
-		}()
-		scalefold.AttachStore(ds, func(err error) { fmt.Fprintf(os.Stderr, "%s: store: %v\n", cmd, err) })
+		defer ds.Close()
+		ex.Store = ds
+		ex.OnStoreErr = func(err error) { fmt.Fprintf(os.Stderr, "%s: store: %v\n", cmd, err) }
 	}
 	if cmd == "all" {
-		all()
+		all(ex)
 		return
 	}
-	run()
+	run(ex)
 }
 
 // all prints every figure runner's output in allRunners order, each
-// followed by a blank line.
-func all() {
+// followed by a blank line, all on the one execution value ex.
+func all(ex scalefold.SweepSpec) {
 	for _, name := range allRunners {
-		runners[name]()
+		runners[name](ex)
 		fmt.Println()
 	}
 }
@@ -833,7 +834,7 @@ func printJSON(v any) {
 
 func header(s string) { fmt.Printf("=== %s ===\n", s) }
 
-func table1() {
+func table1(scalefold.SweepSpec) {
 	header("Table 1: kernel breakdown of the AlphaFold training step")
 	prog := scalefold.KernelCensus()
 	rows := scalefold.Table1()
@@ -859,14 +860,14 @@ func table1() {
 	fmt.Printf("total launches per step: %d (paper: 150887)\n", prog.TotalCalls())
 }
 
-func fig3() {
+func fig3(ex scalefold.SweepSpec) {
 	header("Figure 3: barriers to DAP scalability (share of actual-vs-ideal gap)")
 	paper := map[int]map[string]float64{
 		2: {"CPU overhead": 65, "Imbalance communication": 6, "Serial modules": 14, "Poor kernel scalability": 9, "Communication workload": 6},
 		4: {"CPU overhead": 30, "Imbalance communication": 43, "Serial modules": 15, "Poor kernel scalability": 7, "Communication workload": 6},
 		8: {"CPU overhead": 18, "Imbalance communication": 54, "Serial modules": 14, "Poor kernel scalability": 9, "Communication workload": 5},
 	}
-	columns := scalefold.Figure3All()
+	columns := scalefold.Figure3All(ex)
 	for _, d := range scalefold.Figure3DAPs {
 		fmt.Printf("DAP-%d:\n", d)
 		for _, b := range columns[d] {
@@ -875,7 +876,7 @@ func fig3() {
 	}
 }
 
-func fig4() {
+func fig4(scalefold.SweepSpec) {
 	header("Figure 4: sorted batch preparation time (20000 batches)")
 	curve := scalefold.PrepTimeCurve(20000)
 	n := len(curve)
@@ -915,7 +916,7 @@ func stars(n int) string {
 	return string(s)
 }
 
-func fig5() {
+func fig5(scalefold.SweepSpec) {
 	header("Figure 5: blocking vs non-blocking data pipeline (paper's scenario)")
 	prep := []time.Duration{1 * time.Second, 7 * time.Second, 3 * time.Second}
 	step := 5 * time.Second
@@ -934,25 +935,25 @@ func fig5() {
 	}
 }
 
-func fig7() {
+func fig7(ex scalefold.SweepSpec) {
 	header("Figure 7: step time across systems (batch 128)")
 	fmt.Printf("%-32s %10s %10s\n", "configuration", "sim (s)", "paper (s)")
-	for _, r := range scalefold.Figure7() {
+	for _, r := range scalefold.Figure7(ex) {
 		fmt.Printf("%-32s %10.2f %10.2f\n", r.Label, r.Seconds, r.Paper)
 	}
 }
 
-func fig8() {
+func fig8(ex scalefold.SweepSpec) {
 	header("Figure 8: cumulative optimization ladder (speedup vs A100 reference)")
 	fmt.Printf("%-28s %9s %9s %11s\n", "optimization", "step (s)", "speedup", "paper")
-	for _, r := range scalefold.Ladder() {
+	for _, r := range scalefold.Ladder(ex) {
 		fmt.Printf("%-28s %9.2f %8.2fx %10.2fx\n", r.Label, r.Seconds, r.Speedup, r.Paper)
 	}
 }
 
-func fig9() {
+func fig9(ex scalefold.SweepSpec) {
 	header("Figure 9: time-to-train breakdown")
-	for _, bar := range scalefold.Figure9() {
+	for _, bar := range scalefold.Figure9(ex) {
 		fmt.Printf("%s (total %.1f min):\n", bar.Label, bar.Break.Total().Minutes())
 		for _, k := range []string{"train", "eval", "train_eval_comm", "init", "compilation"} {
 			fmt.Printf("  %-16s %5.1f%%  (paper %4.0f%%)\n", k, 100*bar.Shares[k], 100*bar.PaperShares[k])
@@ -960,17 +961,17 @@ func fig9() {
 	}
 }
 
-func fig10() {
+func fig10(ex scalefold.SweepSpec) {
 	header("Figure 10: MLPerf HPC v3.0 time to train")
 	fmt.Printf("%-44s %10s %10s\n", "configuration", "sim (min)", "paper (min)")
-	for _, r := range scalefold.Figure10() {
+	for _, r := range scalefold.Figure10(ex) {
 		fmt.Printf("%-44s %10.1f %10.1f\n", r.Label, r.Minutes, r.Paper.Minutes())
 	}
 }
 
-func fig11() {
+func fig11(ex scalefold.SweepSpec) {
 	header("Figure 11: AlphaFold pretraining from scratch")
-	sched, res := scalefold.Figure11()
+	sched, res := scalefold.Figure11(ex)
 	fmt.Printf("phase 1 (GBS 128): step=%v  phase 2 (GBS 256, no Triton MHA): step=%v\n",
 		sched.StepTimeGBS128.Round(time.Millisecond), sched.StepTimeGBS256.Round(time.Millisecond))
 	fmt.Printf("avg_lddt_ca at switch (step %d): %.3f (gate: >0.8 = %v)\n",

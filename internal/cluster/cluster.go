@@ -488,8 +488,3 @@ func scaleDur(d time.Duration, f float64) time.Duration {
 	}
 	return time.Duration(float64(d) * f)
 }
-
-// StepSeconds is a convenience returning the mean step time in seconds.
-func StepSeconds(prog *workload.Program, ranks, dapDegree int, o Options) float64 {
-	return Simulate(prog, ranks, dapDegree, o).MeanStep.Seconds()
-}

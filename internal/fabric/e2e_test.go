@@ -62,6 +62,12 @@ func localCSV(t *testing.T, js service.JobSpec) ([]byte, int) {
 	return buf.Bytes(), ms.Len()
 }
 
+// fleetSims counts every simulator run behind a fleet's jobs: the workers'
+// shared metrics plus the coordinator's own exact cells.
+func fleetSims(fl *fakeworker.Fleet) int64 {
+	return fl.Metrics.Simulated.Load() + fl.Server.StoreStatus().Simulations
+}
+
 // collect streams job id to completion, returning its rows by grid index.
 func collect(t *testing.T, c *service.Client, id string) (map[int]service.RowEvent, service.DoneEvent) {
 	t.Helper()
@@ -118,7 +124,6 @@ func TestFabricByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 4} {
 		fl := fakeworker.Start(t, fakeworker.Options{Workers: workers})
-		sims0 := scalefold.Simulations()
 		st, err := fl.Client.Submit(js)
 		if err != nil {
 			t.Fatal(err)
@@ -136,8 +141,8 @@ func TestFabricByteIdenticalAcrossWorkerCounts(t *testing.T) {
 		// Zero duplicate work: the fleet simulated each fingerprint exactly
 		// once, and both the shared worker store and the coordinator's own
 		// store hold each exactly once.
-		if delta := scalefold.Simulations() - sims0; delta != int64(unique) {
-			t.Fatalf("workers=%d: fleet ran %d simulations, want %d", workers, delta, unique)
+		if n := fleetSims(fl); n != int64(unique) {
+			t.Fatalf("workers=%d: fleet ran %d simulations, want %d", workers, n, unique)
 		}
 		if n := fl.Shared.Len(); n != unique {
 			t.Fatalf("workers=%d: shared store holds %d keys, want %d", workers, n, unique)
@@ -184,7 +189,6 @@ func TestFabricSurvivesWorkerKill(t *testing.T) {
 			}
 		},
 	})
-	sims0 := scalefold.Simulations()
 	st, err := fl.Client.Submit(grid8())
 	if err != nil {
 		t.Fatal(err)
@@ -196,8 +200,8 @@ func TestFabricSurvivesWorkerKill(t *testing.T) {
 	if got := streamedCSV(t, rows, 8); !bytes.Equal(got, want) {
 		t.Fatalf("post-reassignment CSV differs from local sweep:\n%s\nvs\n%s", got, want)
 	}
-	if delta := scalefold.Simulations() - sims0; delta != int64(unique) {
-		t.Fatalf("fleet ran %d simulations after a crash, want %d (no duplicate work)", delta, unique)
+	if n := fleetSims(fl); n != int64(unique) {
+		t.Fatalf("fleet ran %d simulations after a crash, want %d (no duplicate work)", n, unique)
 	}
 	fs := fl.Server.Coordinator().Fleet()
 	if fs.Lost != 1 {
@@ -282,7 +286,6 @@ func TestFabricStalledWorkerExpiresAndLateCompletesRejected(t *testing.T) {
 			}
 		},
 	})
-	sims0 := scalefold.Simulations()
 	st, err := fl.Client.Submit(grid8())
 	if err != nil {
 		t.Fatal(err)
@@ -320,8 +323,8 @@ func TestFabricStalledWorkerExpiresAndLateCompletesRejected(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if delta := scalefold.Simulations() - sims0; delta != int64(unique) {
-		t.Fatalf("fleet ran %d simulations, want %d (zombie must not re-simulate)", delta, unique)
+	if n := fleetSims(fl); n != int64(unique) {
+		t.Fatalf("fleet ran %d simulations, want %d (zombie must not re-simulate)", n, unique)
 	}
 	fs := coord.Fleet()
 	if fs.Lost != 1 {

@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/fabric"
+	"repro/internal/scalefold"
 	"repro/internal/service"
 	"repro/internal/store"
 )
@@ -55,6 +56,9 @@ type Fleet struct {
 	URL    string
 	// Shared is the fleet's shared result store.
 	Shared store.Store[cluster.Result]
+	// Metrics counts how the fleet's workers satisfied their claimed cells:
+	// every worker counts into it (fabric.Worker.Metrics).
+	Metrics *scalefold.SweepMetrics
 
 	tb      testing.TB
 	ts      *httptest.Server
@@ -99,16 +103,18 @@ func Start(tb testing.TB, opts Options) *Fleet {
 		Server: srv,
 		Client: &service.Client{Base: ts.URL},
 		URL:    ts.URL,
-		Shared: shared,
-		tb:     tb,
-		ts:     ts,
+		Shared:  shared,
+		Metrics: &scalefold.SweepMetrics{},
+		tb:      tb,
+		ts:      ts,
 	}
 	for i := 0; i < opts.Workers; i++ {
 		w := &fabric.Worker{
-			Base:  ts.URL,
-			Name:  fmt.Sprintf("fw-%d", i),
-			Store: shared,
-			Poll:  poll,
+			Base:    ts.URL,
+			Name:    fmt.Sprintf("fw-%d", i),
+			Store:   shared,
+			Poll:    poll,
+			Metrics: f.Metrics,
 		}
 		if opts.Configure != nil {
 			opts.Configure(i, w)

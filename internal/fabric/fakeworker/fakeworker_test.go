@@ -46,6 +46,9 @@ func TestFleetSmoke(t *testing.T) {
 	if fl.Shared.Len() != 2 {
 		t.Fatalf("shared store holds %d keys, want 2", fl.Shared.Len())
 	}
+	if n := fl.Metrics.Simulated.Load(); n != 2 {
+		t.Fatalf("fleet metrics count %d simulations, want 2", n)
+	}
 	fl.Kill(0) // killing a worker twice (Close will re-kill) must be safe
 	fl.Close()
 	fl.Close() // idempotent

@@ -2,10 +2,11 @@ package model
 
 import "testing"
 
-func TestFullConfigParamCountNearAlphaFold(t *testing.T) {
-	// We do not instantiate FullConfig (too slow); instead check the small
-	// model's parameter count is nonzero and that FullConfig declares the
-	// published geometry.
+// TestFullConfigPublishedGeometry checks that FullConfig declares the
+// published AlphaFold stack depths and representation widths. It does not
+// count FullConfig's ~97M parameters: nothing counts them without
+// allocating them.
+func TestFullConfigPublishedGeometry(t *testing.T) {
 	cfg := FullConfig()
 	if cfg.EvoBlocks != 48 || cfg.ExtraBlocks != 4 || cfg.TemplateBlocks != 2 {
 		t.Fatalf("FullConfig stack depths wrong: %+v", cfg)

@@ -2,10 +2,8 @@
 // dependency-free metrics layer (atomic counters, gauges and fixed-bucket
 // latency histograms, grouped in a named Registry with Prometheus text
 // exposition) plus a span recorder that captures lifecycle timelines as
-// Chrome trace-event JSON. TraceEvent is the one trace event type: the
-// simulator's step-level cluster.Timeline is made of it too, so a job's
-// fabric-level trace and a cell's step-level timeline open in the same
-// Perfetto UI.
+// Chrome trace-event JSON. TraceEvent is the one trace event type, so every
+// recorded timeline opens in the same Perfetto UI.
 //
 // Every type is nil-tolerant: methods on nil receivers are allocation-free
 // no-ops, so instrumented code paths need no conditionals — an uninstrumented

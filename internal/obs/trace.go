@@ -10,7 +10,7 @@ import (
 // TraceEvent is one span in a recorded timeline, in the Chrome trace-event
 // format ("ph":"X" complete events, plus "ph":"M" metadata for lane names),
 // with the optional Args map the format defines. A job's fabric-level trace
-// and a simulated step's cluster.Timeline are both made of it.
+// is made of it.
 type TraceEvent struct {
 	Name string            `json:"name"`
 	Cat  string            `json:"cat,omitempty"`
@@ -89,19 +89,9 @@ func (t *Tracer) Events() []TraceEvent {
 	return append([]TraceEvent(nil), t.events...)
 }
 
-// Len returns the number of recorded events (lane metadata included).
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.events)
-}
-
-// WriteChromeTrace serializes the snapshot as a Chrome trace JSON array, as
-// cluster.Timeline.WriteChromeTrace does. A nil Tracer writes an empty
-// array.
+// WriteChromeTrace serializes the snapshot as a Chrome trace JSON array,
+// the format chrome://tracing and Perfetto load. A nil Tracer writes an
+// empty array.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	events := t.Events()
 	if events == nil {

@@ -18,25 +18,29 @@ type Fig9Bar struct {
 	PaperShares map[string]float64
 }
 
-// refMLPerfStep returns the reference step time at the MLPerf scale
-// (256 H100, global batch 256 — one sample per rank, no DAP).
-func refMLPerfStep() time.Duration {
-	return ReferenceConfig("H100", 256).Run().MeanStep
+// mlperfConfigs declares the two cells Figures 9 and 10 cost: the reference
+// at the MLPerf scale (256 H100, global batch 256 — one sample per rank, no
+// DAP) and the fully-optimized training at 2048 H100 with DAP-8 (the
+// ladder's final configuration).
+func mlperfConfigs() []StepConfig {
+	sf := Figure7Config("H100", 2048, 8)
+	sf.Census.TorchCompile = true
+	sf.DisableGC = true
+	return []StepConfig{ReferenceConfig("H100", 256), sf}
 }
 
-// scaleFoldMLPerfStep returns the fully-optimized step time at 2048 H100
-// with DAP-8 (the ladder's final configuration).
-func scaleFoldMLPerfStep() time.Duration {
-	c := Figure7Config("H100", 2048, 8)
-	c.Census.TorchCompile = true
-	c.DisableGC = true
-	return c.Run().MeanStep
+// mlperfSteps returns the mean step times of mlperfConfigs, resolved on
+// ex's memo and store.
+func mlperfSteps(ex SweepSpec) (ref, sf time.Duration) {
+	res := runFigure(ex, mlperfConfigs()...)
+	return res[0].MeanStep, res[1].MeanStep
 }
 
-// Figure9 reproduces the time-to-train breakdown bars.
-func Figure9() []Fig9Bar {
-	ref := mlperf.TimeToTrain(mlperf.ReferenceRun(refMLPerfStep()))
-	sf := scaleFoldMLPerfStep()
+// Figure9 reproduces the time-to-train breakdown bars on ex's memo and
+// store (see runFigure).
+func Figure9(ex SweepSpec) []Fig9Bar {
+	refStep, sf := mlperfSteps(ex)
+	ref := mlperf.TimeToTrain(mlperf.ReferenceRun(refStep))
 	noAsync := mlperf.TimeToTrain(mlperf.ScaleFoldRun(sf, false))
 	async := mlperf.TimeToTrain(mlperf.ScaleFoldRun(sf, true))
 	return []Fig9Bar{
@@ -55,10 +59,11 @@ func Figure9() []Fig9Bar {
 	}
 }
 
-// Figure10 reproduces the time-to-train bars (minutes).
-func Figure10() []mlperf.Fig10Row {
-	ref := mlperf.TimeToTrain(mlperf.ReferenceRun(refMLPerfStep()))
-	sf := scaleFoldMLPerfStep()
+// Figure10 reproduces the time-to-train bars (minutes) on ex's memo and
+// store (see runFigure).
+func Figure10(ex SweepSpec) []mlperf.Fig10Row {
+	refStep, sf := mlperfSteps(ex)
+	ref := mlperf.TimeToTrain(mlperf.ReferenceRun(refStep))
 	noAsync := mlperf.TimeToTrain(mlperf.ScaleFoldRun(sf, false))
 	async := mlperf.TimeToTrain(mlperf.ScaleFoldRun(sf, true))
 	return []mlperf.Fig10Row{
@@ -68,23 +73,27 @@ func Figure10() []mlperf.Fig10Row {
 	}
 }
 
-// Figure11 reproduces the pretraining schedule: the avg_lddt_ca curve and
-// the end-to-end wall time. Phase 1 runs global batch 128 on 1024 training
-// GPUs; phase 2 runs global batch 256 on 2048 training GPUs with the Triton
-// MHA kernel disabled (§4.2).
-func Figure11() (curve.Schedule, curve.Result) {
+// figure11Configs declares the two pretraining phases: global batch 128 on
+// 1024 training GPUs, then global batch 256 on 2048 training GPUs with the
+// Triton MHA kernel disabled (§4.2).
+func figure11Configs() []StepConfig {
 	p1 := Figure7Config("H100", 1024, 8)
 	p1.Census.TorchCompile = true
 	p1.DisableGC = true
-	step128 := p1.Run().MedianStep
 
 	p2 := Figure7Config("H100", 2048, 8)
 	p2.Census.TorchCompile = true
 	p2.DisableGC = true
 	p2.Census.FusedMHA = false // "disable Triton mha kernel" for GBS 256
-	step256 := p2.Run().MedianStep
+	return []StepConfig{p1, p2}
+}
 
-	sched := curve.PaperSchedule(step128, step256)
+// Figure11 reproduces the pretraining schedule: the avg_lddt_ca curve and
+// the end-to-end wall time of figure11Configs' two phases, resolved on ex's
+// memo and store (see runFigure).
+func Figure11(ex SweepSpec) (curve.Schedule, curve.Result) {
+	res := runFigure(ex, figure11Configs()...)
+	sched := curve.PaperSchedule(res[0].MedianStep, res[1].MedianStep)
 	return sched, sched.Pretrain()
 }
 

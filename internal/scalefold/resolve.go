@@ -50,8 +50,6 @@ func (rv resolver) resolve(c StepConfig) (cluster.Result, string, error) {
 	var src string
 	switch {
 	case c.Mode == scenario.ModeAnalytic:
-		// The estimator never bumps simCount: that counts exact simulator
-		// runs, the quantity the fast path exists to avoid.
 		t0 := time.Now()
 		var err error
 		if r, _, err = analytic.Estimate(c.Scenario); err != nil {
@@ -69,7 +67,6 @@ func (rv resolver) resolve(c StepConfig) (cluster.Result, string, error) {
 		rv.metrics.note("remote")
 		return r, "remote", nil
 	default:
-		simCount.Add(1)
 		r = cluster.Simulate(scenario.CensusFor(c.Census), c.Ranks, c.DAP, c.clusterOptions())
 		src = "simulated"
 	}

@@ -5,15 +5,15 @@
 // users compose StepConfig values; the cmd/scalefold CLI and bench_test.go
 // call the experiment runners here.
 //
-// Every experiment runner is a thin grid declaration over the sweep engine
-// (package sweep): configurations are expanded, fingerprinted, executed on a
-// bounded worker pool and memoized process-wide, so a cell shared by several
-// figures — e.g. the A100 reference step — simulates exactly once.
+// Every experiment runner is a thin cell declaration over SweepSpec.Run: its
+// configurations are fingerprinted and resolved on the memo and store of the
+// SweepSpec the caller passes in, so callers that share one value across
+// figures simulate a shared cell — e.g. the A100 reference step — exactly
+// once. The package holds no mutable state of its own.
 package scalefold
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
@@ -22,7 +22,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/scenario"
 	"repro/internal/store"
-	"repro/internal/sweep"
 	"repro/internal/workload"
 )
 
@@ -51,88 +50,51 @@ func (c StepConfig) clusterOptions() cluster.Options {
 	return o
 }
 
-// Process state is what the figure runners need, nothing more: specs carry
-// their own memo and store.
-//
-// stepCache memoizes the figure runners' results by scenario fingerprint:
-// the reference cell shared by Figures 7, 8, 9 and 10 runs once. It is the
-// volatile L1 of the memo; AttachStore adds a persistent L2 underneath it.
-var stepCache = sweep.NewCache[cluster.Result]()
-
-// figures resolves the figure runners' cold cells: memory-only until
-// AttachStore swaps in one on a persistent store. Never nil.
-var figures atomic.Pointer[resolver]
-
-func init() { figures.Store(&resolver{}) }
-
-// simCount counts actual simulator executions (cold cells): the quantity
-// memoization and the persistent store exist to minimize. Simulations
-// reports it; the sweep service exposes it as a metric.
-var simCount atomic.Int64
-
-// Simulations returns how many times the cluster simulator has actually run
-// in this process — cache and store hits excluded.
-func Simulations() int64 { return simCount.Load() }
-
-// AttachStore puts the figure runners' memo on a persistent store: every
-// cold cell of StepConfig.Run and the figure runners first consults s and
-// writes its result through afterwards. Specs (SweepSpec, SearchSpec,
-// ResilienceSpec) are unaffected — they carry their own Store. onErr, when
-// non-nil, receives write-through errors; lookups and simulation proceed
-// when the store misbehaves, so a full disk degrades to memory-only
-// operation rather than failing figures. Pass nil to detach. Attach before
-// any figure runner starts: results already memoized stay out of the store.
-func AttachStore(s store.Store[cluster.Result], onErr func(error)) {
-	figures.Store(&resolver{store: s, onStoreErr: onErr})
-}
-
-// ResetStepCache drops every memoized simulation result. Benchmarks call it
-// between iterations so repeated figure runs measure the simulator, not a
-// cache lookup, and so seed-varying loops don't grow the cache without
-// bound. Censuses stay cached — they are immutable derivations of the model
-// config, not per-scenario work. Not safe concurrently with running figures.
-func ResetStepCache() { stepCache = sweep.NewCache[cluster.Result]() }
-
 // RunVia resolves the configuration against an explicit store — store hit,
-// else compute and write through — without touching the figure runners'
-// memo, and reports how it was satisfied ("store-hit", "simulated" or
-// "analytic"). Fabric workers execute claimed cells with it: the shared
-// result store IS their memo, so a cell finished by any worker is a hit for
-// every worker. m, when non-nil, counts the outcome.
+// else compute and write through — with no memo in front, and reports how
+// it was satisfied ("store-hit", "simulated" or "analytic"). Fabric workers
+// execute claimed cells with it: the shared result store IS their memo, so a
+// cell finished by any worker is a hit for every worker. m, when non-nil,
+// counts the outcome.
 func (c StepConfig) RunVia(st store.Store[cluster.Result], onErr func(error), m *SweepMetrics) (cluster.Result, string) {
 	r, src, _ := resolver{store: st, onStoreErr: onErr, metrics: m}.resolve(c) // no runner: never fails
 	return r, src
 }
 
-// Run simulates the configuration and returns the cluster result, memoized
-// by Fingerprint and backed by the attached persistent store, if any.
+// Run simulates the configuration once and returns the cluster result, with
+// no memo and no store; batches of cells belong on SweepSpec.Run.
 func (c StepConfig) Run() cluster.Result {
-	res, _ := stepCache.Do(c.Fingerprint(), func() cluster.Result {
-		r, _, _ := figures.Load().resolve(c) // no runner: never fails
-		return r
-	})
-	return res
+	r, _, _ := resolver{}.resolve(c) // no runner: never fails
+	return r
 }
 
 // StepSeconds simulates and returns the median step time in seconds — the
 // quantity a step-time microbenchmark reports (rare data stalls excluded).
 func (c StepConfig) StepSeconds() float64 { return c.Run().MedianStep.Seconds() }
 
-// runConfigs executes step configurations through the sweep engine on
-// `workers` goroutines (<= 0: GOMAXPROCS), sharing the figure runners' memo.
-// Results come back in input order, so downstream output is byte-identical
-// for every worker count.
-func runConfigs(workers int, cfgs []StepConfig) []cluster.Result {
-	cells := make([]sweep.Cell[StepConfig], len(cfgs))
+// runFigure resolves a figure's cells as one SweepSpec.Run over explicit
+// scenarios and returns their results in input order. Only ex's execution
+// fields (Workers, Cache, Store, OnStoreErr, Metrics) carry over, so no
+// identity field of ex can reach a figure cell: callers that share one ex
+// across figures simulate each shared cell once, and the bytes never depend
+// on it.
+func runFigure(ex SweepSpec, cfgs ...StepConfig) []cluster.Result {
+	scs := make([]scenario.Scenario, len(cfgs))
 	for i, c := range cfgs {
-		cells[i] = sweep.Cell[StepConfig]{Key: c.Fingerprint(), Label: c.Name, Config: c}
+		scs[i] = c.Scenario
 	}
-	eng := sweep.Engine[StepConfig, cluster.Result]{Workers: workers, Cache: stepCache}
-	rv := figures.Load()
-	return eng.Run(cells, func(c StepConfig) cluster.Result {
-		r, _, _ := rv.resolve(c) // no runner: never fails
-		return r
-	})
+	rows, err := SweepSpec{
+		Scenarios: scs, Workers: ex.Workers, Cache: ex.Cache,
+		Store: ex.Store, OnStoreErr: ex.OnStoreErr, Metrics: ex.Metrics,
+	}.Run(nil)
+	if err != nil {
+		panic("scalefold: invalid figure cell: " + err.Error())
+	}
+	res := make([]cluster.Result, len(rows))
+	for i, r := range rows {
+		res[i] = r.Res
+	}
+	return res
 }
 
 // platformLabel returns the GPU architecture name of a platform for figure
@@ -225,14 +187,14 @@ func figure7Rows() []Fig7Row {
 }
 
 // Figure7 reproduces the step-time comparison of Figure 7, running the
-// declared cells through the parallel sweep engine.
-func Figure7() []Fig7Row {
+// declared cells on ex's memo and store (see runFigure).
+func Figure7(ex SweepSpec) []Fig7Row {
 	rows := figure7Rows()
 	cfgs := make([]StepConfig, len(rows))
 	for i, r := range rows {
 		cfgs[i] = r.Config
 	}
-	res := runConfigs(0, cfgs)
+	res := runFigure(ex, cfgs...)
 	for i := range rows {
 		rows[i].Seconds = res[i].MedianStep.Seconds()
 	}
@@ -275,13 +237,9 @@ var ladderRungs = []struct {
 	{"+torch.compile", 10.39, func(c *StepConfig) { c.Census.TorchCompile = true }},
 }
 
-// Ladder reproduces Figure 8: optimizations applied cumulatively in the
-// paper's order, measured as speedup over the A100 reference. The rung
-// configurations come from the ladderRungs declaration; all rungs simulate
-// concurrently on the sweep engine.
-func Ladder() []Rung {
+// ladder expands the ladderRungs declaration to one configured rung each.
+func ladder() []Rung {
 	rungs := make([]Rung, len(ladderRungs))
-	cfgs := make([]StepConfig, len(ladderRungs))
 	cum := ReferenceConfig("H100", 128)
 	for i, r := range ladderRungs {
 		c := ReferenceConfig("A100", 128)
@@ -291,9 +249,20 @@ func Ladder() []Rung {
 			c.Name = r.Label
 		}
 		rungs[i] = Rung{Label: r.Label, Paper: r.Paper, Config: c}
-		cfgs[i] = c
 	}
-	res := runConfigs(0, cfgs)
+	return rungs
+}
+
+// Ladder reproduces Figure 8: optimizations applied cumulatively in the
+// paper's order, measured as speedup over the A100 reference. All rungs
+// resolve as one run on ex's memo and store (see runFigure).
+func Ladder(ex SweepSpec) []Rung {
+	rungs := ladder()
+	cfgs := make([]StepConfig, len(rungs))
+	for i, r := range rungs {
+		cfgs[i] = r.Config
+	}
+	res := runFigure(ex, cfgs...)
 	base := res[0].MedianStep.Seconds()
 	for i := range rungs {
 		rungs[i].Seconds = res[i].MedianStep.Seconds()
@@ -386,19 +355,19 @@ func figure3Bars(dapN int, res cluster.Result) []Barrier {
 // Figure3DAPs are the DAP degrees the paper's barrier ablation plots.
 var Figure3DAPs = []int{2, 4, 8}
 
-// Figure3 reproduces one barrier-breakdown column.
-func Figure3(dapN int) []Barrier {
-	return figure3Bars(dapN, figure3Config(dapN).Run())
+// Figure3 reproduces one barrier-breakdown column on ex's memo and store.
+func Figure3(ex SweepSpec, dapN int) []Barrier {
+	return figure3Bars(dapN, runFigure(ex, figure3Config(dapN))[0])
 }
 
-// Figure3All runs the whole barrier ablation as one grid sweep over the DAP
-// axis and returns the columns keyed by DAP degree.
-func Figure3All() map[int][]Barrier {
+// Figure3All runs the whole barrier ablation as one run over the DAP axis
+// on ex's memo and store and returns the columns keyed by DAP degree.
+func Figure3All(ex SweepSpec) map[int][]Barrier {
 	cfgs := make([]StepConfig, len(Figure3DAPs))
 	for i, d := range Figure3DAPs {
 		cfgs[i] = figure3Config(d)
 	}
-	res := runConfigs(0, cfgs)
+	res := runFigure(ex, cfgs...)
 	out := make(map[int][]Barrier, len(Figure3DAPs))
 	for i, d := range Figure3DAPs {
 		out[d] = figure3Bars(d, res[i])
@@ -406,10 +375,9 @@ func Figure3All() map[int][]Barrier {
 	return out
 }
 
-// BaselineDAPSpeedups reproduces the §3.1 observation that naively applying
-// DAP to the unoptimized training yields only 1.42×/1.57×/≈1.57× at
-// DAP-2/4/8. Returned values are speedups over the DAP-1 baseline.
-func BaselineDAPSpeedups() map[int]float64 {
+// baselineDAPConfigs declares the §3.1 cells: the DAP-1 reference, then
+// DAP applied naively to the unoptimized training at DAP-2/4/8.
+func baselineDAPConfigs() []StepConfig {
 	cfgs := []StepConfig{ReferenceConfig("A100", 128)}
 	for _, d := range []int{2, 4, 8} {
 		cen := workload.Baseline()
@@ -418,7 +386,14 @@ func BaselineDAPSpeedups() map[int]float64 {
 			Platform: "A100", Ranks: 128 * d, DAP: d, Census: cen, Seed: 1,
 		}})
 	}
-	res := runConfigs(0, cfgs)
+	return cfgs
+}
+
+// BaselineDAPSpeedups reproduces the §3.1 observation that naively applying
+// DAP to the unoptimized training yields only 1.42×/1.57×/≈1.57× at
+// DAP-2/4/8. Returned values are speedups over the DAP-1 baseline.
+func BaselineDAPSpeedups(ex SweepSpec) map[int]float64 {
+	res := runFigure(ex, baselineDAPConfigs()...)
 	base := res[0].MedianStep.Seconds()
 	out := map[int]float64{}
 	for i, d := range []int{2, 4, 8} {

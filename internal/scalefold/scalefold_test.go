@@ -5,7 +5,9 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/dataset"
+	"repro/internal/sweep"
 )
 
 // skipIfShort skips figure-scale simulations under -short: the race-checked
@@ -18,6 +20,12 @@ func skipIfShort(t *testing.T) {
 		t.Skip("figure-scale simulation; skipped in -short mode")
 	}
 }
+
+// figures is the one execution value every figure test runs on: its memo
+// spans the package's tests, so a cell shared by several figures simulates
+// once per test binary, and its metrics count every simulation the figure
+// runners caused.
+var figures = SweepSpec{Cache: sweep.NewCache[cluster.Result](), Metrics: &SweepMetrics{}}
 
 // Reproduction tolerance: the simulated substrate is not the authors'
 // testbed, so we check shape — orderings, rough factors, crossovers — with
@@ -34,7 +42,7 @@ func within(t *testing.T, name string, got, want, relTol float64) {
 
 func TestFigure7Shape(t *testing.T) {
 	skipIfShort(t)
-	rows := Figure7()
+	rows := Figure7(figures)
 	byLabel := map[string]float64{}
 	for _, r := range rows {
 		byLabel[r.Label] = r.Seconds
@@ -67,7 +75,7 @@ func TestFigure7Shape(t *testing.T) {
 
 func TestFigure7DAPSpeedupsNearPaper(t *testing.T) {
 	skipIfShort(t)
-	rows := Figure7()
+	rows := Figure7(figures)
 	byLabel := map[string]float64{}
 	for _, r := range rows {
 		byLabel[r.Label] = r.Seconds
@@ -81,7 +89,7 @@ func TestFigure7DAPSpeedupsNearPaper(t *testing.T) {
 
 func TestLadderMonotoneAndFinalSpeedup(t *testing.T) {
 	skipIfShort(t)
-	rungs := Ladder()
+	rungs := Ladder(figures)
 	if len(rungs) != 12 {
 		t.Fatalf("12 rungs expected, got %d", len(rungs))
 	}
@@ -103,7 +111,7 @@ func TestLadderMonotoneAndFinalSpeedup(t *testing.T) {
 
 func TestLadderKeyRungs(t *testing.T) {
 	skipIfShort(t)
-	rungs := Ladder()
+	rungs := Ladder(figures)
 	get := func(label string) Rung {
 		for _, r := range rungs {
 			if r.Label == label {
@@ -131,7 +139,7 @@ func TestFigure3SharesShape(t *testing.T) {
 	for _, d := range []int{2, 4, 8} {
 		m := map[string]float64{}
 		var sum float64
-		for _, b := range Figure3(d) {
+		for _, b := range Figure3(figures, d) {
 			m[b.Name] = b.Share
 			sum += b.Share
 		}
@@ -163,7 +171,7 @@ func TestFigure3SharesShape(t *testing.T) {
 
 func TestBaselineDAPSaturates(t *testing.T) {
 	skipIfShort(t)
-	s := BaselineDAPSpeedups()
+	s := BaselineDAPSpeedups(figures)
 	// Paper §3.1: 1.42x, 1.57x, and no gain at DAP-8 over DAP-4.
 	if s[2] < 1.1 || s[2] > 2.1 {
 		t.Fatalf("baseline DAP-2 speedup %v, paper 1.42x", s[2])
@@ -208,7 +216,7 @@ func TestTable1Shape(t *testing.T) {
 
 func TestFigure9Shape(t *testing.T) {
 	skipIfShort(t)
-	bars := Figure9()
+	bars := Figure9(figures)
 	if len(bars) != 3 {
 		t.Fatalf("3 bars expected")
 	}
@@ -228,7 +236,7 @@ func TestFigure9Shape(t *testing.T) {
 
 func TestFigure10Shape(t *testing.T) {
 	skipIfShort(t)
-	rows := Figure10()
+	rows := Figure10(figures)
 	if !(rows[2].Minutes < rows[1].Minutes && rows[1].Minutes < rows[0].Minutes) {
 		t.Fatalf("TTT ordering wrong: %+v", rows)
 	}
@@ -243,7 +251,7 @@ func TestFigure10Shape(t *testing.T) {
 
 func TestFigure11Shape(t *testing.T) {
 	skipIfShort(t)
-	sched, res := Figure11()
+	sched, res := Figure11(figures)
 	if !res.MetInitial {
 		t.Fatal("0.8 must be crossed before step 5000")
 	}
@@ -288,5 +296,46 @@ func TestStepConfigDeterministic(t *testing.T) {
 	b := Figure7Config("H100", 128, 1).StepSeconds()
 	if a != b {
 		t.Fatal("config runs must be reproducible")
+	}
+}
+
+// TestFigureRunnersShareOneExecutionValue passes the shared figures value
+// through every figure runner: each distinct figure fingerprint simulates
+// exactly once, whichever runner (or earlier test) reached it first.
+func TestFigureRunnersShareOneExecutionValue(t *testing.T) {
+	skipIfShort(t)
+	Figure7(figures)
+	Ladder(figures)
+	Figure3All(figures)
+	for _, d := range Figure3DAPs {
+		Figure3(figures, d)
+	}
+	BaselineDAPSpeedups(figures)
+	Figure9(figures)
+	Figure10(figures)
+	Figure11(figures)
+
+	var cfgs []StepConfig
+	for _, r := range figure7Rows() {
+		cfgs = append(cfgs, r.Config)
+	}
+	for _, r := range ladder() {
+		cfgs = append(cfgs, r.Config)
+	}
+	for _, d := range Figure3DAPs {
+		cfgs = append(cfgs, figure3Config(d))
+	}
+	cfgs = append(cfgs, baselineDAPConfigs()...)
+	cfgs = append(cfgs, mlperfConfigs()...)
+	cfgs = append(cfgs, figure11Configs()...)
+	distinct := map[string]bool{}
+	for _, c := range cfgs {
+		distinct[c.Fingerprint()] = true
+	}
+	if n := figures.Metrics.Simulated.Load(); n != int64(len(distinct)) {
+		t.Fatalf("figure runners simulated %d cells, want the %d distinct figure fingerprints", n, len(distinct))
+	}
+	if n := figures.Cache.Len(); n != len(distinct) {
+		t.Fatalf("shared memo holds %d cells, want %d", n, len(distinct))
 	}
 }

@@ -44,7 +44,7 @@ func TestSearchDeterminismAndMemoization(t *testing.T) {
 		spec.Cache = sweep.NewCache[cluster.Result]() // cold memo: only the store persists
 		sources := map[string]int{}
 		spec.OnProbe = func(p search.Probe, src string, d time.Duration) { sources[src]++ }
-		sims0 := Simulations()
+		spec.Metrics = &SweepMetrics{}
 		f, err := spec.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -53,7 +53,7 @@ func TestSearchDeterminismAndMemoization(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return b, sources, Simulations() - sims0
+		return b, sources, spec.Metrics.Simulated.Load()
 	}
 
 	b1, src1, _ := run()
@@ -170,12 +170,13 @@ func TestSearchLocalizesResilienceCliff(t *testing.T) {
 		}
 	}
 
-	sims0 := Simulations()
-	f, err := spec().Run()
+	sp1 := spec()
+	sp1.Metrics = &SweepMetrics{}
+	f, err := sp1.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	exactProbes := Simulations() - sims0
+	exactProbes := sp1.Metrics.Simulated.Load()
 
 	c := f.Cliff
 	if c == nil || !c.Found {
@@ -210,7 +211,7 @@ func TestSearchLocalizesResilienceCliff(t *testing.T) {
 	sources := map[string]int{}
 	sp2 := spec()
 	sp2.OnProbe = func(p search.Probe, src string, d time.Duration) { sources[src]++ }
-	sims1 := Simulations()
+	sp2.Metrics = &SweepMetrics{}
 	f2, err := sp2.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -222,7 +223,7 @@ func TestSearchLocalizesResilienceCliff(t *testing.T) {
 	if string(b1) != string(b2) {
 		t.Fatalf("repeat frontier differs:\nfirst:  %s\nsecond: %s", b1, b2)
 	}
-	if d := Simulations() - sims1; d != 0 {
+	if d := sp2.Metrics.Simulated.Load(); d != 0 {
 		t.Fatalf("repeat run simulated %d times; want 0", d)
 	}
 	if sources["memo-hit"] != f2.Used || len(sources) != 1 {

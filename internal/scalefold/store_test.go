@@ -2,6 +2,7 @@ package scalefold
 
 import (
 	"bytes"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -111,38 +112,32 @@ func TestStoreSurvivesDiskRoundTrip(t *testing.T) {
 	}
 }
 
-func TestAttachStoreWritesThrough(t *testing.T) {
-	// Figure-runner results computed after attachment go through
-	// write-through, and a fresh memo (as after a restart) is served from
-	// the store.
-	ResetStepCache()
+// TestFigureStoreServesFreshMemo: a figure run writes its cells through to
+// the caller's store, and a second run on a fresh memo (as after a restart)
+// is served from that store without simulating.
+func TestFigureStoreServesFreshMemo(t *testing.T) {
+	skipIfShort(t)
 	st := store.NewMem[cluster.Result]()
-	AttachStore(st, nil)
-	defer func() {
-		AttachStore(nil, nil)
-		ResetStepCache()
-	}()
-
-	points, err := tinySpec(nil).Grid().Expand()
-	if err != nil {
-		t.Fatal(err)
+	run := func() ([]Barrier, *SweepMetrics) {
+		ex := SweepSpec{Cache: sweep.NewCache[cluster.Result](), Store: st, Metrics: &SweepMetrics{}}
+		return Figure3(ex, 2), ex.Metrics
 	}
-	cfg, err := tinySpec(nil).configFor(points[0])
-	if err != nil {
-		t.Fatal(err)
+	want, m1 := run()
+	if n := m1.Simulated.Load(); n != 1 {
+		t.Fatalf("cold run simulated %d cells, want 1", n)
 	}
-	want := cfg.Run()
-	if got, ok := st.Get(cfg.Fingerprint()); !ok || got != want {
-		t.Fatal("post-attach Run must write through to the store")
+	if _, ok := st.Get(figure3Config(2).Fingerprint()); !ok {
+		t.Fatal("figure run must write its cell through to the store")
 	}
-
-	ResetStepCache()
-	before := Simulations()
-	if got := cfg.Run(); got != want {
-		t.Fatal("store-served Run changed the result")
+	got, m2 := run()
+	if n := m2.Simulated.Load(); n != 0 {
+		t.Fatalf("fresh-memo run simulated %d cells, want 0 (all from the store)", n)
 	}
-	if Simulations() != before {
-		t.Fatal("Run after memo reset must be served from the store, not re-simulated")
+	if n := m2.StoreHits.Load(); n != 1 {
+		t.Fatalf("fresh-memo run had %d store hits, want 1", n)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("store-served figure changed:\n%+v\nvs\n%+v", got, want)
 	}
 }
 
@@ -220,7 +215,6 @@ func TestSweepMetricsCountMemoHits(t *testing.T) {
 			if tc.runner {
 				rv.runner = func(StepConfig) (cluster.Result, error) { return remote, nil }
 			}
-			sims0 := Simulations()
 			res, src, err := rv.resolve(tc.cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -228,7 +222,7 @@ func TestSweepMetricsCountMemoHits(t *testing.T) {
 			if src != tc.src || res != tc.res {
 				t.Fatalf("resolve = %+v, %q; want %+v, %q", res, src, tc.res, tc.src)
 			}
-			if got := Simulations() - sims0; got != tc.sims {
+			if got := m.Simulated.Load(); got != tc.sims {
 				t.Fatalf("simulator ran %d times, want %d", got, tc.sims)
 			}
 			counters := map[string]int64{

@@ -176,9 +176,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleTrace serves the job's cell-lifecycle spans as Chrome trace-event
-// JSON — loadable as-is in chrome://tracing or Perfetto, same format the
-// simulator's own Timeline export uses. Valid at any point in the job's life;
-// a still-running job yields the spans settled so far.
+// JSON — loadable as-is in chrome://tracing or Perfetto. Valid at any point
+// in the job's life; a still-running job yields the spans settled so far.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	j, ok := s.jobs[r.PathValue("id")]

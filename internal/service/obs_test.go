@@ -75,8 +75,7 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 // TestTraceEndpoint proves the trace export contract: the download is valid
-// Chrome trace-event JSON that unmarshals into obs.TraceEvent, the event
-// type the simulator's cluster.Timeline is built from too, and the job's
+// Chrome trace-event JSON that unmarshals into obs.TraceEvent, and the job's
 // spans cover every cell exactly once with local-engine attribution (no
 // fabric configured here).
 func TestTraceEndpoint(t *testing.T) {

@@ -462,7 +462,7 @@ func (s *Server) Cancel(id string) (JobStatus, bool) {
 
 // StoreStatus reports the persistent store's state.
 func (s *Server) StoreStatus() StoreStatus {
-	st := StoreStatus{Keys: s.st.Len(), LegacyKeys: s.legacy, Simulations: scalefold.Simulations()}
+	st := StoreStatus{Keys: s.st.Len(), LegacyKeys: s.legacy, Simulations: s.met.exactCells.Value()}
 	if lg, ok := s.st.(interface{ Legacy() int }); ok {
 		st.LegacyKeys = lg.Legacy() // live count: compaction sheds legacy keys
 	}

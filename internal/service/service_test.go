@@ -113,7 +113,7 @@ func TestServeSubmitStreamRestartPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ss.Keys != 4 || ss.Dir != dir {
+	if ss.Keys != 4 || ss.Dir != dir || ss.Simulations != 4 {
 		t.Fatalf("store status after first run: %+v", ss)
 	}
 	stop1()
@@ -139,6 +139,9 @@ func TestServeSubmitStreamRestartPersistence(t *testing.T) {
 	}
 	if done2.StoreHits != 4 {
 		t.Fatalf("restarted server had %d store hits, want 4", done2.StoreHits)
+	}
+	if ss2, err := c2.StoreStatus(); err != nil || ss2.Simulations != 0 {
+		t.Fatalf("restarted server store status %+v (%v), want 0 simulations", ss2, err)
 	}
 
 	b1, b2 := rowBytes(rows1, 4), rowBytes(rows2, 4)

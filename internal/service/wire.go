@@ -225,6 +225,8 @@ type StoreStatus struct {
 	Dir string `json:"dir,omitempty"`
 	// Dropped counts unparsable log lines skipped at startup (disk only).
 	Dropped int `json:"dropped,omitempty"`
-	// Simulations counts actual simulator runs in this server process.
+	// Simulations counts the exact cells of this server's finished jobs:
+	// the cells its own resolver ran on the simulator (store and memo hits,
+	// estimates and remote cells excluded).
 	Simulations int64 `json:"simulations"`
 }

@@ -20,22 +20,13 @@ type Checkpoint struct {
 	SWA    [][]float32
 }
 
-// Save serializes the trainer's state to w.
+// Save serializes the trainer's state to w. Names lists the parameters in
+// registration order, the order of Params.All and of every tensor list.
 func (t *Trainer) Save(w io.Writer) error {
 	ps := t.Model.Params.All()
-	names := t.Model.Params.Names()
-	if len(names) != len(ps) {
-		return fmt.Errorf("train: %d names for %d params", len(names), len(ps))
-	}
-	ck := Checkpoint{Step: t.step, Names: names}
-	// Params.All returns registration order; Names() is sorted — rebuild in
-	// registration order by reading each tensor through the registry.
-	ck.Names = ck.Names[:0]
+	ck := Checkpoint{Step: t.step, Names: append([]string(nil), t.Model.Params.names...)}
 	for i, p := range ps {
-		_ = i
 		ck.Params = append(ck.Params, append([]float32(nil), p.X.Data...))
-	}
-	for i := range ps {
 		ck.M = append(ck.M, append([]float32(nil), t.m[i]...))
 		ck.V = append(ck.V, append([]float32(nil), t.v[i]...))
 		ck.SWA = append(ck.SWA, append([]float32(nil), t.swa[i]...))
@@ -44,15 +35,22 @@ func (t *Trainer) Save(w io.Writer) error {
 }
 
 // Load restores a snapshot previously written by Save into the trainer.
-// The model geometry must match (same parameter count and shapes).
+// The model must register the same parameters, by name, in the same order
+// and with the same sizes.
 func (t *Trainer) Load(r io.Reader) error {
 	var ck Checkpoint
 	if err := gob.NewDecoder(r).Decode(&ck); err != nil {
 		return fmt.Errorf("train: decoding checkpoint: %w", err)
 	}
 	ps := t.Model.Params.All()
-	if len(ck.Params) != len(ps) {
-		return fmt.Errorf("train: checkpoint has %d tensors, model has %d", len(ck.Params), len(ps))
+	if len(ck.Params) != len(ps) || len(ck.Names) != len(ps) {
+		return fmt.Errorf("train: checkpoint has %d tensors (%d names), model has %d",
+			len(ck.Params), len(ck.Names), len(ps))
+	}
+	for i, name := range t.Model.Params.names {
+		if ck.Names[i] != name {
+			return fmt.Errorf("train: checkpoint tensor %d is %q, model wants %q", i, ck.Names[i], name)
+		}
 	}
 	for i, p := range ps {
 		if len(ck.Params[i]) != p.X.Len() {

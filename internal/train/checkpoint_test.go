@@ -2,6 +2,7 @@ package train
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	ag "repro/internal/autograd"
@@ -68,5 +69,28 @@ func TestCheckpointCorruptData(t *testing.T) {
 	tr := New(tinyModel(37), DefaultConfig())
 	if err := tr.Load(bytes.NewReader([]byte("not a checkpoint"))); err == nil {
 		t.Fatal("garbage must not load")
+	}
+}
+
+// TestCheckpointRefusesReorderedParams: two models register equal-size
+// tensors in swapped order, so count and sizes agree; the names must not.
+func TestCheckpointRefusesReorderedParams(t *testing.T) {
+	build := func(names ...string) *Trainer {
+		mdl := &Model{Params: newParams(ag.NewTape(), 38)}
+		for _, n := range names {
+			mdl.Params.Bias(n, 4)
+		}
+		return New(mdl, DefaultConfig())
+	}
+	var buf bytes.Buffer
+	if err := build("a", "b").Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	err := build("b", "a").Load(bytes.NewReader(buf.Bytes()))
+	if err == nil {
+		t.Fatal("a checkpoint with reordered parameter names loaded")
+	}
+	if !strings.Contains(err.Error(), `"a"`) || !strings.Contains(err.Error(), `"b"`) {
+		t.Fatalf("error %q does not name the first mismatch", err)
 	}
 }

@@ -1,7 +1,6 @@
 package train
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -101,11 +100,3 @@ func (p *Params) Count() int {
 	return n
 }
 
-// Get returns a parameter by name, or panics if it does not exist.
-func (p *Params) Get(name string) *autograd.Value {
-	v, ok := p.byName[name]
-	if !ok {
-		panic(fmt.Sprintf("train: unknown parameter %q", name))
-	}
-	return v
-}
